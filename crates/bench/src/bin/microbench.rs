@@ -60,25 +60,27 @@ fn effective_iters(iters: u32) -> u32 {
     }
 }
 
-/// Time `routine` over `iters` fresh states from `setup`, excluding setup
-/// time, and print a mean ns/op line.
+/// Time `routine` over `iters` fresh states from `setup` and print a mean
+/// ns/op line. The clock covers the routine only: building the state and
+/// dropping it afterwards (a 500-record trie, say) are not timed.
 fn bench_batched<S, R>(
     name: &str,
     iters: u32,
     mut setup: impl FnMut() -> S,
-    mut routine: impl FnMut(S) -> R,
+    mut routine: impl FnMut(&mut S) -> R,
 ) {
     let iters = effective_iters(iters);
     for _ in 0..(iters / 10).max(1) {
-        black_box(routine(setup()));
+        black_box(routine(&mut setup()));
     }
     let mut total = Duration::ZERO;
     for _ in 0..iters {
-        let state = setup();
+        let mut state = setup();
         let start = Instant::now();
-        let result = routine(state);
+        let result = routine(&mut state);
         total += start.elapsed();
         black_box(result);
+        drop(state);
     }
     let ns_per_op = total.as_nanos() as f64 / iters as f64;
     println!("{name:<34} {iters:>7} iters {ns_per_op:>14.0} ns/op");
@@ -87,7 +89,7 @@ fn bench_batched<S, R>(
 
 /// Time a self-contained routine (no per-iteration setup).
 fn bench<R>(name: &str, iters: u32, mut routine: impl FnMut() -> R) {
-    bench_batched(name, iters, || (), |()| routine());
+    bench_batched(name, iters, || (), |_| routine());
 }
 
 fn bench_hashing() {
@@ -106,7 +108,7 @@ fn bench_authenticated_indexes() {
             }
             mpt
         },
-        |mut mpt| {
+        |mpt| {
             mpt.insert(&Key::from_str("user00000042"), &Value::filler(1024));
             mpt.root_hash()
         },
@@ -115,7 +117,7 @@ fn bench_authenticated_indexes() {
         "mbt_put_1kb",
         300,
         MerkleBucketTree::fabric_default,
-        |mut mbt| {
+        |mbt| {
             mbt.put(&Key::from_str("user42"), &Value::filler(1024));
             mbt.root_hash()
         },
@@ -123,10 +125,10 @@ fn bench_authenticated_indexes() {
 }
 
 fn bench_storage_engines() {
-    bench_batched("lsm_put_1kb", 2_000, LsmTree::new, |mut t| {
+    bench_batched("lsm_put_1kb", 2_000, LsmTree::new, |t| {
         t.put(Key::from_str("k1"), Value::filler(1024))
     });
-    bench_batched("btree_put_1kb", 2_000, BPlusTree::new, |mut t| {
+    bench_batched("btree_put_1kb", 2_000, BPlusTree::new, |t| {
         t.put(Key::from_str("k1"), Value::filler(1024))
     });
 }
@@ -143,7 +145,7 @@ fn bench_occ_validation() {
             }
             (store, OccExecutor::new())
         },
-        |(mut store, mut occ)| {
+        |(store, occ)| {
             let txn = Transaction::new(
                 TxnId::new(ClientId(1), 1),
                 vec![Operation::read_modify_write(
@@ -151,8 +153,8 @@ fn bench_occ_validation() {
                     Value::filler(64),
                 )],
             );
-            let sim = occ.simulate(&txn, &store);
-            occ.validate_and_commit(&sim, &mut store).unwrap()
+            let sim = occ.simulate(&txn, store);
+            occ.validate_and_commit(&sim, store).unwrap()
         },
     );
 }
@@ -189,12 +191,14 @@ fn bench_metric_sketches() {
     };
     bench_batched("latency_sketch_stream_100k", 50, generate, |samples| {
         let mut sketch = StreamingLatency::default();
-        for &s in &samples {
+        for &s in samples.iter() {
             sketch.observe(s);
         }
         sketch.summary()
     });
-    bench_batched("latency_exact_sort_100k", 50, generate, LatencySummary::of);
+    bench_batched("latency_exact_sort_100k", 50, generate, |samples| {
+        LatencySummary::of(std::mem::take(samples))
+    });
 }
 
 fn bench_event_engine() {
@@ -249,7 +253,7 @@ fn bench_event_engine() {
             }
             q
         },
-        |mut q| {
+        |q| {
             let mut acc = 0u64;
             for (i, dt) in prefill_times(0xD1B5_4A32).take(CHURN as usize).enumerate() {
                 let (t, _) = q.pop().expect("queue stays full");
@@ -269,7 +273,7 @@ fn bench_event_engine() {
             }
             q
         },
-        |mut q| {
+        |q| {
             let mut acc = 0u64;
             for (i, dt) in prefill_times(0xD1B5_4A32).take(CHURN as usize).enumerate() {
                 let (t, _) = q.pop().expect("queue stays full");

@@ -83,8 +83,18 @@ impl MerkleBucketTree {
             .unwrap_or(Hash::ZERO)
     }
 
-    fn bucket_of(&self, key: &Key) -> usize {
-        (Hash::of(key.as_bytes()).prefix_u64() % self.num_buckets as u64) as usize
+    /// The bucket `key` lives in and its key digest, both taken from one
+    /// hash of the key.
+    fn locate(&self, key: &Key) -> (usize, [u8; 16]) {
+        let h = Hash::of(key.as_bytes());
+        let bucket = (h.prefix_u64() % self.num_buckets as u64) as usize;
+        (bucket, h.0[..16].try_into().expect("16 bytes"))
+    }
+
+    fn value_digest(value: &Value) -> [u8; 8] {
+        Hash::of(value.as_bytes()).0[..8]
+            .try_into()
+            .expect("8 bytes")
     }
 
     fn digest_bucket(entries: &[BucketEntry]) -> Hash {
@@ -146,13 +156,8 @@ impl MerkleBucketTree {
     /// Insert or overwrite `key` with `value`, returning update statistics
     /// for CPU-cost charging.
     pub fn put(&mut self, key: &Key, value: &Value) -> UpdateStats {
-        let bucket = self.bucket_of(key);
-        let key_digest: [u8; 16] = Hash::of(key.as_bytes()).0[..16]
-            .try_into()
-            .expect("16 bytes");
-        let value_digest: [u8; 8] = Hash::of(value.as_bytes()).0[..8]
-            .try_into()
-            .expect("8 bytes");
+        let (bucket, key_digest) = self.locate(key);
+        let value_digest = Self::value_digest(value);
         let entries = &mut self.buckets[bucket];
         match entries.binary_search_by(|e| e.key_digest.cmp(&key_digest)) {
             Ok(i) => entries[i].value_digest = value_digest,
@@ -178,13 +183,8 @@ impl MerkleBucketTree {
     /// validator performs; MBT cannot return the value itself, it only
     /// authenticates what the state storage returned).
     pub fn authenticate(&self, key: &Key, value: &Value) -> bool {
-        let bucket = self.bucket_of(key);
-        let key_digest: [u8; 16] = Hash::of(key.as_bytes()).0[..16]
-            .try_into()
-            .expect("16 bytes");
-        let value_digest: [u8; 8] = Hash::of(value.as_bytes()).0[..8]
-            .try_into()
-            .expect("8 bytes");
+        let (bucket, key_digest) = self.locate(key);
+        let value_digest = Self::value_digest(value);
         self.buckets[bucket]
             .binary_search_by(|e| e.key_digest.cmp(&key_digest))
             .map(|i| self.buckets[bucket][i].value_digest == value_digest)
@@ -193,10 +193,7 @@ impl MerkleBucketTree {
 
     /// Remove `key`; returns `true` if it was present.
     pub fn delete(&mut self, key: &Key) -> bool {
-        let bucket = self.bucket_of(key);
-        let key_digest: [u8; 16] = Hash::of(key.as_bytes()).0[..16]
-            .try_into()
-            .expect("16 bytes");
+        let (bucket, key_digest) = self.locate(key);
         let entries = &mut self.buckets[bucket];
         if let Ok(i) = entries.binary_search_by(|e| e.key_digest.cmp(&key_digest)) {
             entries.remove(i);

@@ -86,10 +86,6 @@ impl Node {
             }
         }
     }
-
-    fn hash(&self) -> Hash {
-        Hash::of(&self.encode())
-    }
 }
 
 /// Split a byte key into nibbles (high nibble first).
@@ -167,10 +163,12 @@ impl MerklePatriciaTrie {
         self.store.len()
     }
 
+    /// File `node` under the hash of its one encoding and return that hash.
+    /// The nodes it supersedes stay in the store (archival mode).
     fn put_node(&mut self, node: Node) -> Hash {
-        let encoded_len = node.encode().len();
-        let h = node.hash();
-        self.store.insert(h, (node, encoded_len));
+        let encoded = node.encode();
+        let h = Hash::of(&encoded);
+        self.store.insert(h, (node, encoded.len()));
         h
     }
 
@@ -186,31 +184,28 @@ impl MerklePatriciaTrie {
             nodes_touched: 0,
             leaf_bytes: value.len(),
         };
-        let existing = self.get(key);
-        match &existing {
-            Some(old) => {
-                self.live_value_bytes =
-                    self.live_value_bytes - old.len() as u64 + value.len() as u64
-            }
-            None => {
-                self.len += 1;
-                self.live_value_bytes += value.len() as u64;
-            }
-        }
+        let mut replaced = None;
         let root = self.root;
-        let new_root = self.insert_at(root, &nibbles, value.as_bytes(), &mut stats);
+        let new_root = self.insert_at(root, &nibbles, value.as_bytes(), &mut stats, &mut replaced);
         self.root = Some(new_root);
+        match replaced {
+            Some(old_len) => self.live_value_bytes -= old_len as u64,
+            None => self.len += 1,
+        }
+        self.live_value_bytes += value.len() as u64;
         stats
     }
 
     /// Recursive insert; returns the hash of the new node replacing
-    /// `node_hash` for the remaining `path`.
+    /// `node_hash` for the remaining `path`. When the key already held a
+    /// value, its length is written to `replaced`.
     fn insert_at(
         &mut self,
         node_hash: Option<Hash>,
         path: &[u8],
         value: &[u8],
         stats: &mut UpdateStats,
+        replaced: &mut Option<usize>,
     ) -> Hash {
         stats.nodes_touched += 1;
         let node = match node_hash {
@@ -231,6 +226,7 @@ impl MerklePatriciaTrie {
                 value: leaf_value,
             } => {
                 if leaf_path == path {
+                    *replaced = Some(leaf_value.len());
                     return self.put_node(Node::Leaf {
                         path: path.to_vec(),
                         value: value.to_vec(),
@@ -286,7 +282,8 @@ impl MerklePatriciaTrie {
                 let cp = common_prefix_len(&ext_path, path);
                 if cp == ext_path.len() {
                     // Descend into the child with the remaining path.
-                    let new_child = self.insert_at(Some(child), &path[cp..], value, stats);
+                    let new_child =
+                        self.insert_at(Some(child), &path[cp..], value, stats, replaced);
                     return self.put_node(Node::Extension {
                         path: ext_path,
                         child: new_child,
@@ -338,13 +335,14 @@ impl MerklePatriciaTrie {
                 value: branch_value,
             } => {
                 if path.is_empty() {
+                    *replaced = branch_value.map(|v| v.len());
                     return self.put_node(Node::Branch {
                         children,
                         value: Some(value.to_vec()),
                     });
                 }
                 let slot = path[0] as usize;
-                let new_child = self.insert_at(children[slot], &path[1..], value, stats);
+                let new_child = self.insert_at(children[slot], &path[1..], value, stats, replaced);
                 children[slot] = Some(new_child);
                 self.put_node(Node::Branch {
                     children,
@@ -639,6 +637,19 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&key16(1)).unwrap().len(), 20);
         assert_ne!(t.root_hash(), root1);
+        // The payload counts the live value only, not the one it replaced.
+        assert_eq!(t.footprint().payload_bytes, 20);
+        t.insert(&key16(2), &Value::filler(5));
+        t.insert(&key16(1), &Value::filler(7));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.footprint().payload_bytes, 12);
+        // A key that is a prefix of another keeps its value in a branch.
+        let mut p = MerklePatriciaTrie::new();
+        p.insert(&Key::from_str("ab"), &Value::filler(4));
+        p.insert(&Key::from_str("a"), &Value::filler(3));
+        p.insert(&Key::from_str("a"), &Value::filler(9));
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.footprint().payload_bytes, 13);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use dichotomy_common::rng::{derive_seed, seeded, Rng, StdRng};
+use dichotomy_common::size::StorageFootprint;
 use dichotomy_common::{Hash, Key, Value};
 use dichotomy_merkle::{MerkleBucketTree, MerklePatriciaTrie, MerkleTree};
 
@@ -146,4 +147,53 @@ fn merkle_tree_proofs_bind_leaf_index_and_content() {
             "seed {seed}"
         );
     });
+}
+
+/// Roots, node count and byte accounting of both state indexes, for
+/// [`state_roots_match_pinned_digests`].
+fn snapshot(trie: &MerklePatriciaTrie, mbt: &MerkleBucketTree) -> String {
+    let f = trie.footprint();
+    format!(
+        "{} {} {} {} {} {}",
+        trie.root_hash(),
+        mbt.root_hash(),
+        trie.stored_node_count(),
+        f.payload_bytes,
+        f.index_bytes,
+        mbt.footprint().index_bytes
+    )
+}
+
+/// Both state roots and the trie's archival node store, pinned to values
+/// computed with the portable scalar SHA-256 and the two-pass trie writes
+/// they replaced: 2 000 records with 1 000-byte seeded values, then every
+/// third key overwritten with a 700-byte value.
+#[test]
+fn state_roots_match_pinned_digests() {
+    let mut rng = seeded(0x601D);
+    let mut value = |len: usize| Value::new((0..len).map(|_| rng.gen::<u8>()).collect::<Vec<u8>>());
+    let mut trie = MerklePatriciaTrie::new();
+    let mut mbt = MerkleBucketTree::fabric_default();
+    for i in 0..2000u16 {
+        let v = value(1000);
+        trie.insert(&key_of(i), &v);
+        mbt.put(&key_of(i), &v);
+    }
+    assert_eq!(
+        snapshot(&trie, &mbt),
+        "f53cbd446902bdf1be2579c96180738abfcf81416390b44c14e568ee87d71040 \
+         a7d62e57ced047c2e26e24567ab14bf31e2a0f3815875850db63b56d5d103f2d \
+         8787 2000000 3183861 90688"
+    );
+    for i in (0..2000u16).step_by(3) {
+        let v = value(700);
+        trie.insert(&key_of(i), &v);
+        mbt.put(&key_of(i), &v);
+    }
+    assert_eq!(
+        snapshot(&trie, &mbt),
+        "82f2ec184a2cd5368b49d109b04674782a1639ce58d0e800498f2ba791fb279a \
+         90cbeeaf50c565445d2eab16c8d12442e0c85ed3ec148cc8e6cd3f93c976e4ea \
+         11710 1799900 4818787 90688"
+    );
 }

@@ -269,9 +269,16 @@ grep -q "plan_parallel_8probe_etcd" /tmp/ci_microbench.out
 # their timings ride the bench trajectory alongside the experiment runs.
 grep -q "event_queue_heap_churn_256k" /tmp/ci_microbench.out
 grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
+# The SHA-256 kernel and the two authenticated-index writes built on it.
+grep -q "sha256_1kb" /tmp/ci_microbench.out
+grep -q "mpt_insert_1kb" /tmp/ci_microbench.out
+grep -q "mbt_put_1kb" /tmp/ci_microbench.out
 grep -q "\"label\":\"${BENCH_KEY}-micro\"" BENCH_history.json
 grep -q '"key":"event_queue_heap_churn_256k"' BENCH_history.json
 grep -q '"key":"latency_sketch_stream_100k"' BENCH_history.json
+grep -q '"key":"sha256_1kb"' BENCH_history.json
+grep -q '"key":"mpt_insert_1kb"' BENCH_history.json
+grep -q '"key":"mbt_put_1kb"' BENCH_history.json
 
 echo "==> bench_gate (wall-clock trajectory regression gate + coverage keys)"
 scripts/bench_gate --require-key scale01 --require-key chaos01 \
