@@ -10,7 +10,7 @@
 //! append to, and flags wall-clock regressions: for every timing key, the
 //! *latest* entry of each run configuration is compared against the median
 //! of up to `--window` trailing earlier entries of the *same* configuration
-//! (quick/txns/seed/jobs — quick `--jobs 1` timings are never compared
+//! (quick/txns/seed/jobs/sched — quick `--jobs 1` timings are never compared
 //! against full `--jobs 8` ones). A key regresses when the latest value
 //! exceeds the trailing median by more than `--tolerance` (relative) *and*
 //! by more than `--floor-ms` (absolute — sub-floor noise on fast cases never
@@ -22,86 +22,98 @@
 //! "no baseline" and skipped — a median over one noisy sample is not a
 //! baseline either.
 //!
-//! `--require-key KEY` (repeatable) additionally asserts that at least one
-//! sample with that timing key exists in the history — CI uses it to prove
-//! the trajectory still *covers* an experiment (a silently dropped `scale01`
-//! would otherwise never regress again).
+//! `--require-key KEY` (repeatable) additionally asserts that the
+//! trajectory still *covers* a timing key: the key must occur in the history,
+//! and the latest entry of every configuration lane in which it ever
+//! occurred must contain it. A silently dropped experiment (`scale01` left
+//! out of `all`) would otherwise never regress again; with the rule, the
+//! next entry of its lane fails the gate.
 //!
 //! Exit status: 0 when nothing regresses, 1 on any regression or missing
 //! required key, 2 on usage or parse errors. Offline and dependency-free,
 //! like everything else here.
 
+use dichotomy_core::common::json::{self, Value};
 use std::process::ExitCode;
 
-/// One timing sample: which case, under which run configuration, how long.
+/// One history entry: a run's label, its configuration lane, its timings.
 #[derive(Debug, Clone, PartialEq)]
-struct Sample {
+struct Entry {
     label: String,
     config: String,
+    timings: Vec<Timing>,
+}
+
+/// One timing sample of an entry.
+#[derive(Debug, Clone, PartialEq)]
+struct Timing {
     key: String,
     wall_ms: f64,
     ok: bool,
 }
 
-/// Extract the JSON value following `"name":` in `obj` (a flat object
-/// body), as a raw string slice — enough for the fixed format
-/// `append_history` writes; no general JSON parser needed.
-fn field<'a>(obj: &'a str, name: &str) -> Option<&'a str> {
-    let pat = format!("\"{name}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}', ']']).next()
+/// Parse every entry out of a bench-history document, in order.
+fn parse_history(doc: &str) -> Result<Vec<Entry>, String> {
+    let doc = json::parse(doc)?;
+    if doc.get("generator").and_then(Value::as_str) != Some("repro-bench-history") {
+        return Err("not a repro-bench-history document".to_string());
     }
-    .map(str::trim)
-}
-
-/// Parse every timing sample out of a bench-history document, in order.
-fn parse_history(doc: &str) -> Result<Vec<Sample>, String> {
-    let doc = doc.trim();
-    let body = doc
-        .strip_prefix("{\"generator\":\"repro-bench-history\",\"entries\":[")
-        .and_then(|b| b.strip_suffix("]}"))
-        .ok_or("not a repro-bench-history document")?;
-    let mut samples = Vec::new();
-    // Entries all open with the same generator stamp; splitting on it keeps
-    // the parse independent of nesting depth.
-    for entry in body.split("{\"generator\":\"repro-bench\",").skip(1) {
-        let label = field(entry, "label")
-            .ok_or("entry without label")?
-            .to_string();
-        // `sched` joined the entry header with the cost-predicted scheduler:
-        // per-experiment worker time depends on which probes co-run, so
-        // lpt-scheduled entries form their own lane. Entries predating the
-        // field were first-occurrence-ordered ("fifo").
-        let config = format!(
-            "quick={} txns={} seed={} jobs={} sched={}",
-            field(entry, "quick").unwrap_or("?"),
-            field(entry, "txns").unwrap_or("?"),
-            field(entry, "seed").unwrap_or("?"),
-            field(entry, "jobs").unwrap_or("?"),
-            field(entry, "sched").unwrap_or("fifo"),
-        );
-        let timings = entry
-            .split("\"experiments\":[")
-            .nth(1)
-            .ok_or("entry without experiments array")?;
-        for case in timings.split("{\"key\":").skip(1) {
-            let case = format!("\"key\":{case}");
-            samples.push(Sample {
-                label: label.clone(),
-                config: config.clone(),
-                key: field(&case, "key").ok_or("timing without key")?.to_string(),
-                wall_ms: field(&case, "wall_ms")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("timing without wall_ms")?,
-                ok: field(&case, "ok") == Some("true"),
-            });
-        }
-    }
-    Ok(samples)
+    let entries = doc
+        .get("entries")
+        .and_then(Value::as_array)
+        .ok_or("history without entries array")?;
+    entries
+        .iter()
+        .map(|entry| {
+            // The lane: run configurations whose timings are comparable.
+            // `sched` joined the entry header with the cost-predicted
+            // scheduler: per-experiment worker time depends on which probes
+            // co-run, so lpt-scheduled entries form their own lane. Entries
+            // predating the field were first-occurrence-ordered ("fifo").
+            let field = |name: &str, absent: &str| match entry.get(name) {
+                Some(Value::Str(s)) => s.clone(),
+                Some(v) => v.to_string(),
+                None => absent.to_string(),
+            };
+            let config = format!(
+                "quick={} txns={} seed={} jobs={} sched={}",
+                field("quick", "?"),
+                field("txns", "?"),
+                field("seed", "?"),
+                field("jobs", "?"),
+                field("sched", "fifo"),
+            );
+            let timings = entry
+                .get("experiments")
+                .and_then(Value::as_array)
+                .ok_or("entry without experiments array")?
+                .iter()
+                .map(|case| {
+                    Ok(Timing {
+                        key: case
+                            .get("key")
+                            .and_then(Value::as_str)
+                            .ok_or("timing without key")?
+                            .to_string(),
+                        wall_ms: case
+                            .get("wall_ms")
+                            .and_then(Value::as_f64)
+                            .ok_or("timing without wall_ms")?,
+                        ok: case.get("ok").and_then(Value::as_bool) == Some(true),
+                    })
+                })
+                .collect::<Result<_, &str>>()?;
+            Ok(Entry {
+                label: entry
+                    .get("label")
+                    .and_then(Value::as_str)
+                    .ok_or("entry without label")?
+                    .to_string(),
+                config,
+                timings,
+            })
+        })
+        .collect()
 }
 
 /// The nearest-rank median of a non-empty slice.
@@ -119,11 +131,16 @@ struct Gate {
 /// Compare the latest sample of every (key, config) trajectory against its
 /// trailing median. Returns (regression lines, skipped-baseline count,
 /// gated-key count).
-fn gate(samples: &[Sample], opts: &Gate) -> (Vec<String>, usize, usize) {
+fn gate(entries: &[Entry], opts: &Gate) -> (Vec<String>, usize, usize) {
+    // Every sample with its entry's label and lane, in append order.
+    let samples: Vec<(&Entry, &Timing)> = entries
+        .iter()
+        .flat_map(|e| e.timings.iter().map(move |t| (e, t)))
+        .collect();
     // Trajectories keyed by (key, config), in append order.
-    let mut keys: Vec<(String, String)> = Vec::new();
-    for s in samples {
-        let id = (s.key.clone(), s.config.clone());
+    let mut keys: Vec<(&str, &str)> = Vec::new();
+    for (e, t) in &samples {
+        let id = (t.key.as_str(), e.config.as_str());
         if !keys.contains(&id) {
             keys.push(id);
         }
@@ -131,11 +148,12 @@ fn gate(samples: &[Sample], opts: &Gate) -> (Vec<String>, usize, usize) {
     let mut regressions = Vec::new();
     let (mut skipped, mut gated) = (0usize, 0usize);
     for (key, config) in keys {
-        let series: Vec<&Sample> = samples
+        let series: Vec<(&Entry, &Timing)> = samples
             .iter()
-            .filter(|s| s.key == key && s.config == config && s.ok)
+            .filter(|(e, t)| t.key == key && e.config == config && t.ok)
+            .copied()
             .collect();
-        let Some((last, priors)) = series.split_last() else {
+        let Some(((last_entry, last), priors)) = series.split_last() else {
             continue;
         };
         let tail_start = priors.len().saturating_sub(opts.window);
@@ -144,7 +162,7 @@ fn gate(samples: &[Sample], opts: &Gate) -> (Vec<String>, usize, usize) {
         // sample is too jittery to serve as one on its own.
         let mut window: Vec<f64> = priors[tail_start..]
             .iter()
-            .map(|s| s.wall_ms)
+            .map(|(_, t)| t.wall_ms)
             .filter(|&w| w >= opts.floor_ms)
             .collect();
         if window.len() < 2 {
@@ -160,7 +178,7 @@ fn gate(samples: &[Sample], opts: &Gate) -> (Vec<String>, usize, usize) {
                 last.wall_ms,
                 baseline,
                 100.0 * excess / baseline.max(1e-9),
-                last.label,
+                last_entry.label,
             ));
         }
     }
@@ -168,6 +186,12 @@ fn gate(samples: &[Sample], opts: &Gate) -> (Vec<String>, usize, usize) {
 }
 
 fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args)
+}
+
+/// The whole command over its arguments (program name excluded).
+fn run(args: &[String]) -> ExitCode {
     let mut opts = Gate {
         tolerance: 0.75,
         floor_ms: 50.0,
@@ -176,7 +200,6 @@ fn main() -> ExitCode {
     let mut path: Option<String> = None;
     let mut required_keys: Vec<String> = Vec::new();
     let mut bad_usage = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         let (flag, inline) = match args[i].split_once('=') {
@@ -232,14 +255,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let samples = match parse_history(&doc) {
-        Ok(samples) => samples,
+    let entries = match parse_history(&doc) {
+        Ok(entries) => entries,
         Err(e) => {
             eprintln!("cannot parse {path}: {e}");
             return ExitCode::from(2);
         }
     };
-    let (regressions, skipped, gated) = gate(&samples, &opts);
+    let (regressions, skipped, gated) = gate(&entries, &opts);
     println!(
         "bench_gate: {gated} trajectories gated, {skipped} without baseline \
          (tolerance +{:.0}%, floor {:.0} ms, window {})",
@@ -247,9 +270,9 @@ fn main() -> ExitCode {
         opts.floor_ms,
         opts.window
     );
-    let missing = missing_keys(&samples, &required_keys);
-    for key in &missing {
-        println!("MISSING KEY: '{key}' has no samples in {path}");
+    let missing = missing_keys(&entries, &required_keys);
+    for line in &missing {
+        println!("MISSING KEY: {line}");
     }
     if regressions.is_empty() && missing.is_empty() {
         println!("bench_gate: no wall-clock regressions");
@@ -262,57 +285,87 @@ fn main() -> ExitCode {
     }
 }
 
-/// The `--require-key` keys that have no sample in the history, in request
-/// order. A required key may match either a timing key (`fig04`) or an
-/// entry label (`pr8-cache-cold`), so CI can assert both coverage and that
-/// a specific run made it into the trajectory.
-fn missing_keys(samples: &[Sample], required: &[String]) -> Vec<String> {
-    required
-        .iter()
-        .filter(|k| !samples.iter().any(|s| &s.key == *k || &s.label == *k))
-        .cloned()
-        .collect()
+/// One line per `--require-key` coverage failure, in request order: a key
+/// with no sample at all, or a lane whose latest entry lacks a key that an
+/// earlier entry of the lane had.
+fn missing_keys(entries: &[Entry], required: &[String]) -> Vec<String> {
+    let has = |e: &Entry, key: &str| e.timings.iter().any(|t| t.key == key);
+    let mut missing = Vec::new();
+    for key in required {
+        if !entries.iter().any(|e| has(e, key)) {
+            missing.push(format!("'{key}' has no samples"));
+            continue;
+        }
+        let mut lanes: Vec<&str> = Vec::new();
+        for e in entries.iter().filter(|e| has(e, key)) {
+            if !lanes.contains(&e.config.as_str()) {
+                lanes.push(&e.config);
+            }
+        }
+        for lane in lanes {
+            let latest = entries
+                .iter()
+                .rfind(|e| e.config == lane)
+                .expect("the lane has an entry");
+            if !has(latest, key) {
+                missing.push(format!(
+                    "'{key}' is absent from the latest entry of lane [{lane}] ('{}')",
+                    latest.label
+                ));
+            }
+        }
+    }
+    missing
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dichotomy_bench::json::{append_history, bench_document, BenchTiming};
 
-    fn entry(label: &str, jobs: u64, timings: &[(&str, f64)]) -> String {
-        let cases: Vec<String> = timings
+    /// A quick seed-7 `repro --bench` entry with the given timings.
+    fn entry(label: &str, jobs: usize, timings: &[(&str, f64)]) -> Value {
+        let timings: Vec<BenchTiming> = timings
             .iter()
-            .map(|(k, ms)| {
-                format!("{{\"key\":\"{k}\",\"wall_ms\":{ms},\"rows\":1,\"failed_probes\":0,\"ok\":true}}")
+            .map(|&(key, wall_ms)| BenchTiming {
+                wall_ms,
+                ..BenchTiming::empty(key.to_string(), true)
             })
             .collect();
-        format!(
-            "{{\"generator\":\"repro-bench\",\"label\":\"{label}\",\"quick\":true,\"txns\":null,\
-             \"seed\":7,\"jobs\":{jobs},\"total_wall_ms\":0,\"experiments\":[{}]}}",
-            cases.join(",")
-        )
+        bench_document(label, true, None, 7, jobs, &timings)
     }
 
-    fn history(entries: &[String]) -> String {
-        format!(
-            "{{\"generator\":\"repro-bench-history\",\"entries\":[{}]}}",
-            entries.join(",")
-        )
+    fn history(entries: &[Value]) -> String {
+        Value::object([
+            ("generator", "repro-bench-history".into()),
+            ("entries", Value::Array(entries.to_vec())),
+        ])
+        .to_string()
     }
 
     #[test]
     fn parses_the_history_format_append_history_writes() {
-        let doc = history(&[
-            entry("a", 1, &[("fig04", 120.5), ("tab02", 3.0)]),
-            entry("b", 4, &[("fig04", 95.0)]),
-        ]);
-        let samples = parse_history(&doc).unwrap();
-        assert_eq!(samples.len(), 3);
-        assert_eq!(samples[0].key, "fig04");
-        assert_eq!(samples[0].wall_ms, 120.5);
-        assert_eq!(samples[0].label, "a");
-        assert!(samples[0].config.contains("jobs=1"));
-        assert!(samples[2].config.contains("jobs=4"));
+        let first = entry("a", 1, &[("fig04", 120.5), ("tab02", 3.0)]);
+        let doc = append_history(None, first).unwrap();
+        let doc = append_history(Some(&doc), entry("b", 4, &[("fig04", 95.0)])).unwrap();
+        let entries = parse_history(&doc).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].label, "a");
+        assert_eq!(entries[0].timings.len(), 2);
+        assert_eq!(entries[0].timings[0].key, "fig04");
+        assert_eq!(entries[0].timings[0].wall_ms, 120.5);
+        assert!(entries[0].timings[0].ok);
+        assert_eq!(
+            entries[0].config,
+            "quick=true txns=null seed=7 jobs=1 sched=fifo"
+        );
+        assert_eq!(
+            entries[1].config,
+            "quick=true txns=null seed=7 jobs=4 sched=lpt"
+        );
         assert!(parse_history("junk").is_err());
+        assert!(parse_history("{\"generator\":\"repro\",\"entries\":[]}").is_err());
+        assert!(parse_history(&history(&[entry("a", 1, &[])])[..40]).is_err());
     }
 
     #[test]
@@ -322,19 +375,19 @@ mod tests {
             floor_ms: 10.0,
             window: 5,
         };
-        let flat: Vec<String> = (0..4)
+        let flat: Vec<Value> = (0..4)
             .map(|i| entry(&format!("e{i}"), 1, &[("fig04", 100.0)]))
             .collect();
-        let samples = parse_history(&history(&flat)).unwrap();
-        let (regressions, skipped, gated) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&flat)).unwrap();
+        let (regressions, skipped, gated) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty());
         assert_eq!((skipped, gated), (0, 1));
 
         // The last entry doubles: past tolerance and floor, so it gates.
         let mut spiked = flat.clone();
         spiked.push(entry("spike", 1, &[("fig04", 200.0)]));
-        let samples = parse_history(&history(&spiked)).unwrap();
-        let (regressions, _, _) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&spiked)).unwrap();
+        let (regressions, _, _) = gate(&entries, &gate_opts);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("fig04"));
         assert!(regressions[0].contains("spike"));
@@ -350,38 +403,38 @@ mod tests {
         // The cache lane shape: cold runs interleaved with near-zero warm
         // runs in the same configuration. The warm samples must not drag
         // the median to ~0 and flag the honest cold wall.
-        let entries: Vec<String> = vec![
+        let entries: Vec<Value> = vec![
             entry("cold-1", 4, &[("fig04", 1_000.0)]),
             entry("warm-1", 4, &[("fig04", 1.0)]),
             entry("cold-2", 4, &[("fig04", 1_050.0)]),
             entry("warm-2", 4, &[("fig04", 2.0)]),
             entry("cold-3", 4, &[("fig04", 1_020.0)]),
         ];
-        let samples = parse_history(&history(&entries)).unwrap();
-        let (regressions, skipped, gated) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&entries)).unwrap();
+        let (regressions, skipped, gated) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty(), "{regressions:?}");
         assert_eq!((skipped, gated), (0, 1));
 
         // Fewer than two usable priors leaves no baseline: a median over a
         // single (jittery) cold sample must not gate the next cold run.
-        let entries: Vec<String> = vec![
+        let entries: Vec<Value> = vec![
             entry("cold-1", 4, &[("fig04", 1_000.0)]),
             entry("warm-1", 4, &[("fig04", 1.0)]),
             entry("cold-2", 4, &[("fig04", 1_900.0)]),
         ];
-        let samples = parse_history(&history(&entries)).unwrap();
-        let (regressions, skipped, gated) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&entries)).unwrap();
+        let (regressions, skipped, gated) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty(), "{regressions:?}");
         assert_eq!((skipped, gated), (1, 0));
 
         // All-sub-floor priors leave no baseline at all: skip, don't gate.
-        let entries: Vec<String> = vec![
+        let entries: Vec<Value> = vec![
             entry("warm-1", 4, &[("fig04", 1.0)]),
             entry("warm-2", 4, &[("fig04", 2.0)]),
             entry("cold-1", 4, &[("fig04", 1_000.0)]),
         ];
-        let samples = parse_history(&history(&entries)).unwrap();
-        let (regressions, skipped, gated) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&entries)).unwrap();
+        let (regressions, skipped, gated) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty());
         assert_eq!((skipped, gated), (1, 0));
     }
@@ -394,13 +447,13 @@ mod tests {
             window: 5,
         };
         // 2 ms → 5 ms is +150 % but only 3 ms absolute: under the floor.
-        let entries: Vec<String> = vec![
+        let entries: Vec<Value> = vec![
             entry("a", 1, &[("tab02", 2.0)]),
             entry("b", 1, &[("tab02", 2.0)]),
             entry("c", 1, &[("tab02", 5.0)]),
         ];
-        let samples = parse_history(&history(&entries)).unwrap();
-        let (regressions, _, _) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&entries)).unwrap();
+        let (regressions, _, _) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty());
     }
 
@@ -413,7 +466,7 @@ mod tests {
         };
         // jobs=1 entries are slow, jobs=4 fast; the latest jobs=4 entry must
         // not be compared against a jobs=1 baseline (or vice versa).
-        let entries: Vec<String> = vec![
+        let entries: Vec<Value> = vec![
             entry("a1", 1, &[("fig04", 400.0)]),
             entry("a2", 4, &[("fig04", 100.0)]),
             entry("b1", 1, &[("fig04", 410.0)]),
@@ -421,8 +474,8 @@ mod tests {
             entry("c1", 1, &[("fig04", 395.0)]),
             entry("c2", 4, &[("fig04", 95.0)]),
         ];
-        let samples = parse_history(&history(&entries)).unwrap();
-        let (regressions, skipped, gated) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&entries)).unwrap();
+        let (regressions, skipped, gated) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty());
         assert_eq!((skipped, gated), (0, 2));
     }
@@ -437,20 +490,21 @@ mod tests {
             floor_ms: 10.0,
             window: 5,
         };
-        let legacy: Vec<String> = (0..3)
-            .map(|i| entry(&format!("old{i}"), 4, &[("ramp01", 90.0)]))
+        let mut entries: Vec<Value> = (0..3)
+            .map(|i| {
+                let mut legacy = entry(&format!("old{i}"), 4, &[("ramp01", 90.0)]);
+                if let Value::Object(fields) = &mut legacy {
+                    fields.retain(|(name, _)| name != "sched");
+                }
+                legacy
+            })
             .collect();
-        let mut entries = legacy;
         // Same quick/txns/seed/jobs, 4x slower — but a different scheduler.
-        entries.push(entry("new", 4, &[("ramp01", 360.0)]).replacen(
-            "\"jobs\":4,",
-            "\"jobs\":4,\"sched\":\"lpt\",",
-            1,
-        ));
-        let samples = parse_history(&history(&entries)).unwrap();
-        assert!(samples[2].config.contains("sched=fifo"), "legacy default");
-        assert!(samples[3].config.contains("sched=lpt"));
-        let (regressions, skipped, gated) = gate(&samples, &gate_opts);
+        entries.push(entry("new", 4, &[("ramp01", 360.0)]));
+        let entries = parse_history(&history(&entries)).unwrap();
+        assert!(entries[2].config.contains("sched=fifo"), "legacy default");
+        assert!(entries[3].config.contains("sched=lpt"));
+        let (regressions, skipped, gated) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty(), "{regressions:?}");
         assert_eq!((skipped, gated), (1, 1));
     }
@@ -458,41 +512,94 @@ mod tests {
     #[test]
     fn require_key_flags_absent_keys_and_accepts_present_ones() {
         let doc = history(&[
-            entry("pr8-cache-cold", 1, &[("fig04", 10.0), ("scale01", 20.0)]),
-            entry("pr8-cache-warm", 1, &[("fig04", 1.0), ("scale01", 2.0)]),
+            entry("cold", 1, &[("fig04", 10.0), ("scale01", 20.0)]),
+            entry("warm", 1, &[("fig04", 1.0), ("scale01", 2.0)]),
         ]);
-        let samples = parse_history(&doc).unwrap();
-        // Timing keys and entry labels both satisfy a requirement.
-        let present = [
-            "fig04".to_string(),
-            "scale01".to_string(),
-            "pr8-cache-warm".to_string(),
-        ];
-        assert!(missing_keys(&samples, &present).is_empty());
-        let absent = ["chaos01".to_string(), "fig04".to_string()];
-        assert_eq!(missing_keys(&samples, &absent), vec!["chaos01".to_string()]);
+        let entries = parse_history(&doc).unwrap();
+        let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect::<Vec<_>>();
+        assert!(missing_keys(&entries, &keys(&["fig04", "scale01"])).is_empty());
+        // Entry labels are not timing keys.
+        assert_eq!(
+            missing_keys(&entries, &keys(&["chaos01", "fig04", "warm"])),
+            vec!["'chaos01' has no samples", "'warm' has no samples"]
+        );
         assert!(missing_keys(&[], &[]).is_empty());
     }
 
     #[test]
+    fn a_lane_whose_latest_entry_drops_a_required_key_fails() {
+        // scale01 ran in both lanes, then the jobs-1 lane's latest run left
+        // it out: an earlier sample no longer proves coverage.
+        let mut entries = vec![
+            entry("a1", 1, &[("fig04", 100.0), ("scale01", 900.0)]),
+            entry("a4", 4, &[("fig04", 60.0), ("scale01", 500.0)]),
+            entry("b1", 1, &[("fig04", 100.0)]),
+            entry("b4", 4, &[("fig04", 60.0), ("scale01", 500.0)]),
+        ];
+        let parsed = parse_history(&history(&entries)).unwrap();
+        let required = ["scale01".to_string(), "fig04".to_string()];
+        let missing = missing_keys(&parsed, &required);
+        assert_eq!(missing.len(), 1, "{missing:?}");
+        assert!(missing[0].contains("jobs=1") && missing[0].contains("'b1'"));
+        // Through the command: exit 1, and 0 once the lane covers it again.
+        let path = std::env::temp_dir().join(format!(
+            "bench_gate_dropped_key_{}.json",
+            std::process::id()
+        ));
+        let args = |path: &std::path::Path| {
+            ["--require-key", "scale01", path.to_str().unwrap()].map(String::from)
+        };
+        std::fs::write(&path, history(&entries)).unwrap();
+        let dropped = run(&args(&path));
+        entries.push(entry("c1", 1, &[("fig04", 100.0), ("scale01", 900.0)]));
+        std::fs::write(&path, history(&entries)).unwrap();
+        let restored = run(&args(&path));
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(dropped, ExitCode::FAILURE);
+        assert_eq!(restored, ExitCode::SUCCESS);
+        // A lane the key never ran in does not need it.
+        let fresh_lane = parse_history(&history(&[
+            entry("a1", 1, &[("scale01", 900.0)]),
+            entry("micro", 2, &[("sha256_1kb", 0.001)]),
+        ]))
+        .unwrap();
+        assert!(missing_keys(&fresh_lane, &required[..1]).is_empty());
+    }
+
+    #[test]
     fn entries_with_probe_calibration_arrays_still_parse_to_experiment_walls() {
-        // The PR 8 bench format appends probes/distinct_probes/cache_hits/
-        // dedup_saved_ms scalars and a nested calibration array to each
-        // timing entry; the scanner must keep reading the experiment-level
-        // wall_ms, not a probe's.
-        let doc = history(&[format!(
-            "{{\"generator\":\"repro-bench\",\"label\":\"pr8\",\"quick\":true,\"txns\":null,\
-             \"seed\":7,\"jobs\":4,\"total_wall_ms\":42,\"experiments\":[\
-             {{\"key\":\"fig04\",\"wall_ms\":42.5,\"rows\":5,\"failed_probes\":0,\"ok\":true,\
-             \"probes\":8,\"distinct_probes\":7,\"cache_hits\":2,\"dedup_saved_ms\":3.5,\
-             \"calibration\":[{{\"probe\":\"etcd\",\"predicted\":1200,\"wall_ms\":11.5}},\
-             {{\"probe\":\"tikv\",\"predicted\":null,\"wall_ms\":0.5}}]}}]}}"
-        )]);
-        let samples = parse_history(&doc).unwrap();
-        assert_eq!(samples.len(), 1, "calibration objects are not entries");
-        assert_eq!(samples[0].key, "fig04");
-        assert_eq!(samples[0].wall_ms, 42.5, "experiment wall, not a probe's");
-        assert!(samples[0].ok);
+        // Timing entries carry probe accounting and a nested calibration
+        // array with its own `wall_ms` fields; the experiment-level wall is
+        // the one read.
+        let timing = BenchTiming {
+            key: "fig04".into(),
+            wall_ms: 42.5,
+            rows: 5,
+            failed_probes: 0,
+            ok: true,
+            probes: 8,
+            distinct_probes: 7,
+            cache_hits: 2,
+            dedup_saved_ms: 3.5,
+            calibration: vec![dichotomy_core::scenario::ProbeCalibration {
+                probe: "etcd".into(),
+                predicted: f64::NAN,
+                wall_ms: 11.5,
+            }],
+        };
+        let doc = history(&[bench_document("pr8", true, None, 7, 4, &[timing])]);
+        let entries = parse_history(&doc).unwrap();
+        assert_eq!(
+            entries[0].timings.len(),
+            1,
+            "calibration objects are not timings"
+        );
+        assert_eq!(entries[0].timings[0].key, "fig04");
+        assert_eq!(
+            entries[0].timings[0].wall_ms, 42.5,
+            "experiment wall, not a probe's"
+        );
+        assert!(entries[0].timings[0].ok);
     }
 
     #[test]
@@ -503,12 +610,12 @@ mod tests {
             window: 5,
         };
         // Two entries = one prior: not enough history to call a regression.
-        let entries: Vec<String> = vec![
+        let entries: Vec<Value> = vec![
             entry("a", 1, &[("new_case", 10.0)]),
             entry("b", 1, &[("new_case", 500.0)]),
         ];
-        let samples = parse_history(&history(&entries)).unwrap();
-        let (regressions, skipped, gated) = gate(&samples, &gate_opts);
+        let entries = parse_history(&history(&entries)).unwrap();
+        let (regressions, skipped, gated) = gate(&entries, &gate_opts);
         assert!(regressions.is_empty());
         assert_eq!((skipped, gated), (1, 0));
     }

@@ -439,7 +439,7 @@ fn main() {
             .unwrap_or_else(|| format!("microbench-{}", if smoke { "smoke" } else { "full" }));
         let entry = json::bench_document(&label, smoke, None, 0, 1, &timings);
         let existing = std::fs::read_to_string(&path).ok();
-        match json::append_history(existing.as_deref(), &entry)
+        match json::append_history(existing.as_deref(), entry)
             .and_then(|doc| std::fs::write(&path, doc).map_err(|e| e.to_string()))
         {
             Ok(()) => eprintln!(

@@ -231,6 +231,11 @@ fn main() {
         match plan {
             Planned::Ready(plan) => {
                 let outcome = outcomes.next().expect("one outcome per ready plan");
+                // Text-only experiments (tab02) schedule no probes: a
+                // 0-row/0-ms timing entry is noise in the trajectory.
+                if plan.probe_count() > 0 {
+                    timings.push(json::BenchTiming::from_outcome(id.to_string(), &outcome));
+                }
                 let report = outcome.report;
                 println!("{}", report.render());
                 // Per-probe failures: attributable even when many probes ran
@@ -246,22 +251,6 @@ fn main() {
                 sum_hits += outcome.cache_hits;
                 sum_wall_ms += outcome.probe_wall_ms;
                 sum_saved_ms += outcome.dedup_saved_ms;
-                // Text-only experiments (tab02) schedule no probes: a
-                // 0-row/0-ms timing entry is noise in the trajectory.
-                if plan.probe_count() > 0 {
-                    timings.push(json::BenchTiming {
-                        key: id.to_string(),
-                        wall_ms: outcome.probe_wall_ms,
-                        rows: report.rows.len(),
-                        failed_probes: report.failures.len(),
-                        ok: true,
-                        probes: outcome.probes,
-                        distinct_probes: outcome.distinct_probes,
-                        cache_hits: outcome.cache_hits,
-                        dedup_saved_ms: outcome.dedup_saved_ms,
-                        calibration: outcome.calibration,
-                    });
-                }
                 completed.push((id.to_string(), report));
             }
             Planned::Failed(message) => {
@@ -316,7 +305,7 @@ fn main() {
             &timings,
         );
         let existing = std::fs::read_to_string(path).ok();
-        match json::append_history(existing.as_deref(), &entry)
+        match json::append_history(existing.as_deref(), entry)
             .map_err(|e| e.to_string())
             .and_then(|doc| std::fs::write(path, doc).map_err(|e| e.to_string()))
         {
@@ -769,23 +758,12 @@ fn explore_command(args: &[String]) -> i32 {
 
     if let Some(path) = &bench_path {
         let effective_jobs = ExecOptions::with_jobs(jobs).effective_jobs();
-        let timing = json::BenchTiming {
-            key: "explore".to_string(),
-            wall_ms: outcome.plan.probe_wall_ms,
-            rows: outcome.plan.report.rows.len(),
-            failed_probes: outcome.plan.report.failures.len(),
-            ok: true,
-            probes: outcome.plan.probes,
-            distinct_probes: outcome.plan.distinct_probes,
-            cache_hits: outcome.plan.cache_hits,
-            dedup_saved_ms: outcome.plan.dedup_saved_ms,
-            calibration: outcome.plan.calibration.clone(),
-        };
+        let timing = json::BenchTiming::from_outcome("explore".to_string(), &outcome.plan);
         let key = bench_key
             .unwrap_or_else(|| json::stable_bench_key(quick, Some(txns), seed, effective_jobs));
         let entry = json::bench_document(&key, quick, Some(txns), seed, effective_jobs, &[timing]);
         let existing = std::fs::read_to_string(path).ok();
-        match json::append_history(existing.as_deref(), &entry)
+        match json::append_history(existing.as_deref(), entry)
             .and_then(|doc| std::fs::write(path, doc).map_err(|e| e.to_string()))
         {
             Err(e) => {
@@ -954,12 +932,12 @@ fn lint_command(args: &[String]) -> i32 {
     );
 
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\"generator\":\"repro-lint\",\"experiments\":{},\"findings\":{},\"deny\":{},\"diagnostics\":{}}}\n",
-            expanded,
-            diags.len(),
-            denies,
-            dichotomy_core::common::diag::to_json_array(&diags)
+        let doc = dichotomy_core::common::diag::json_document(
+            vec![
+                ("generator", "repro-lint".into()),
+                ("experiments", expanded.into()),
+            ],
+            &diags,
         );
         if let Err(err) = std::fs::write(&path, doc) {
             eprintln!("repro lint: writing {path}: {err}");

@@ -1,11 +1,8 @@
-//! A minimal JSON writer for experiment reports.
-//!
-//! The workspace builds offline with zero crates.io dependencies, so instead
-//! of `serde_json` this module hand-writes the (small, fixed) document shape
-//! `repro --json` emits. Output is deterministic: key order is fixed, floats
-//! use Rust's shortest round-trip formatting, and non-finite values (the
-//! `NaN` a missing reported throughput produces) become `null`, keeping the
-//! document standard-conforming.
+//! The documents `repro` and `microbench` write, built as
+//! [`Value`](dichotomy_core::common::json::Value) trees and rendered by the
+//! workspace's one JSON writer (`dichotomy_common::json`): field order as
+//! built here, floats in Rust's shortest round-trip form, and non-finite
+//! values (the `NaN` a missing reported throughput produces) as `null`.
 //!
 //! Each row additionally carries `series`: one windowed time series per
 //! driving probe (`{"name", "events_clamped", "oracles", "window_us",
@@ -18,8 +15,9 @@
 //! `null` on a pass (probes reaching the report always pass — a violation
 //! becomes a labelled entry in `failures` instead).
 
+use dichotomy_core::common::json::{self, Value};
 use dichotomy_core::experiments::{ExperimentReport, RowSeries};
-use dichotomy_core::scenario::ProbeCalibration;
+use dichotomy_core::scenario::{fnv1a_64, PlanOutcome, ProbeCalibration};
 use dichotomy_explore::ExploreOutcome;
 
 /// One experiment's wall-clock timing, for the `repro --bench` document.
@@ -68,144 +66,97 @@ impl BenchTiming {
             calibration: Vec::new(),
         }
     }
-}
 
-/// Escape a string for a JSON string literal (quotes, backslashes, control
-/// characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    /// The timing entry of a plan that ran: its probe worker time and probe
+    /// accounting.
+    pub fn from_outcome(key: String, outcome: &PlanOutcome) -> Self {
+        BenchTiming {
+            key,
+            wall_ms: outcome.probe_wall_ms,
+            rows: outcome.report.rows.len(),
+            failed_probes: outcome.report.failures.len(),
+            ok: true,
+            probes: outcome.probes,
+            distinct_probes: outcome.distinct_probes,
+            cache_hits: outcome.cache_hits,
+            dedup_saved_ms: outcome.dedup_saved_ms,
+            calibration: outcome.calibration.clone(),
         }
-    }
-    out
-}
-
-/// Render a float as a JSON number, mapping non-finite values to `null`.
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
-/// Serialize one report: id, title, rows (label + named values) and the
-/// preformatted text for qualitative reports.
-pub fn report(key: &str, report: &ExperimentReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"key\":\"{}\",\"id\":\"{}\",\"title\":\"{}\",\"rows\":[",
-        escape(key),
-        escape(report.id),
-        escape(report.title)
-    ));
-    for (i, row) in report.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"values\":[",
-            escape(&row.label)
-        ));
-        for (j, (column, value)) in row.values.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"column\":\"{}\",\"value\":{}}}",
-                escape(column),
-                number(*value)
-            ));
-        }
-        out.push_str("],\"series\":[");
-        for (j, s) in row.series.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&row_series(s));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"failures\":[");
-    for (i, f) in report.failures.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"row\":\"{}\",\"probe\":\"{}\",\"index\":{},\"message\":\"{}\"}}",
-            escape(&f.row),
-            escape(&f.probe),
-            f.index,
-            escape(&f.message)
-        ));
-    }
-    out.push_str("],\"text\":");
-    match &report.text {
-        Some(text) => out.push_str(&format!("\"{}\"", escape(text))),
-        None => out.push_str("null"),
-    }
-    out.push('}');
-    out
+/// One report: key, id, title, rows (label, named values, series), probe
+/// failures and the preformatted text of qualitative reports.
+pub fn report(key: &str, report: &ExperimentReport) -> Value {
+    Value::object([
+        ("key", key.into()),
+        ("id", report.id.into()),
+        ("title", report.title.into()),
+        (
+            "rows",
+            Value::array(report.rows.iter().map(|row| {
+                Value::object([
+                    ("label", (&row.label).into()),
+                    (
+                        "values",
+                        Value::array(row.values.iter().map(|(column, value)| {
+                            Value::object([("column", column.into()), ("value", (*value).into())])
+                        })),
+                    ),
+                    ("series", Value::array(row.series.iter().map(row_series))),
+                ])
+            })),
+        ),
+        (
+            "failures",
+            Value::array(report.failures.iter().map(|f| {
+                Value::object([
+                    ("row", (&f.row).into()),
+                    ("probe", (&f.probe).into()),
+                    ("index", f.index.into()),
+                    ("message", (&f.message).into()),
+                ])
+            })),
+        ),
+        ("text", report.text.as_deref().into()),
+    ])
 }
 
-/// Serialize one windowed time series attached to a row.
-fn row_series(s: &RowSeries) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"events_clamped\":{},\"oracles\":[",
-        escape(&s.name),
-        s.events_clamped,
-    ));
-    for (i, o) in s.oracles.outcomes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"violation\":{}}}",
-            escape(o.name),
-            match &o.violation {
-                Some(v) => format!("\"{}\"", escape(v)),
-                None => "null".to_string(),
-            }
-        ));
-    }
-    out.push_str(&format!(
-        "],\"window_us\":{},\"warmup_us\":{},\"windows\":[",
-        s.series.window_us, s.series.warmup_us
-    ));
-    for (i, w) in s.series.windows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"start_us\":{},\"end_us\":{},\"submitted\":{},\"committed\":{},\"aborted\":{},\
-             \"offered_tps\":{},\"tps\":{},\"abort_pct\":{},\"p50_us\":{},\"p95_us\":{},\
-             \"p99_us\":{}}}",
-            w.start_us,
-            w.end_us,
-            w.submitted,
-            w.committed,
-            w.aborted,
-            number(w.offered_tps),
-            number(w.throughput_tps),
-            number(w.abort_rate_percent),
-            w.latency.p50_us,
-            w.latency.p95_us,
-            w.latency.p99_us
-        ));
-    }
-    out.push_str("]}");
-    out
+/// One windowed time series attached to a row.
+fn row_series(s: &RowSeries) -> Value {
+    Value::object([
+        ("name", (&s.name).into()),
+        ("events_clamped", s.events_clamped.into()),
+        (
+            "oracles",
+            Value::array(s.oracles.outcomes.iter().map(|o| {
+                Value::object([
+                    ("name", o.name.into()),
+                    ("violation", o.violation.as_deref().into()),
+                ])
+            })),
+        ),
+        ("window_us", s.series.window_us.into()),
+        ("warmup_us", s.series.warmup_us.into()),
+        (
+            "windows",
+            Value::array(s.series.windows.iter().map(|w| {
+                Value::object([
+                    ("start_us", w.start_us.into()),
+                    ("end_us", w.end_us.into()),
+                    ("submitted", w.submitted.into()),
+                    ("committed", w.committed.into()),
+                    ("aborted", w.aborted.into()),
+                    ("offered_tps", w.offered_tps.into()),
+                    ("tps", w.throughput_tps.into()),
+                    ("abort_pct", w.abort_rate_percent.into()),
+                    ("p50_us", w.latency.p50_us.into()),
+                    ("p95_us", w.latency.p95_us.into()),
+                    ("p99_us", w.latency.p99_us.into()),
+                ])
+            })),
+        ),
+    ])
 }
 
 /// Serialize a full `repro` run: the options used plus every report.
@@ -215,25 +166,20 @@ pub fn document(
     seed: u64,
     reports: &[(String, ExperimentReport)],
 ) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"generator\":\"repro\",\"quick\":{quick},\"txns\":{},\"seed\":{seed},\"experiments\":[",
-        match txns {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        }
-    ));
-    for (i, (key, rep)) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report(key, rep));
-    }
-    out.push_str("]}");
-    out
+    Value::object([
+        ("generator", "repro".into()),
+        ("quick", quick.into()),
+        ("txns", txns.into()),
+        ("seed", seed.into()),
+        (
+            "experiments",
+            Value::array(reports.iter().map(|(key, rep)| report(key, rep))),
+        ),
+    ])
+    .to_string()
 }
 
-/// Serialize one `repro --bench` run: the label (`--bench-key`, typically a
+/// One `repro --bench` run: the label (`--bench-key`, typically a
 /// `git describe`/date tag so the trajectory is keyed per PR), the options
 /// and worker count used, the total worker time, and one timing entry per
 /// experiment. Entries accumulate in a history document (see
@@ -246,7 +192,7 @@ pub fn bench_document(
     seed: u64,
     jobs: usize,
     timings: &[BenchTiming],
-) -> String {
+) -> Value {
     let total_wall_ms: f64 = timings.iter().map(|t| t.wall_ms).sum();
     // The scheduling regime is part of the run configuration: with more
     // than one worker the deduped queue runs longest-predicted-first, which
@@ -255,55 +201,42 @@ pub fn bench_document(
     // folds `sched` into the trajectory lane (absent = the historical
     // "fifo").
     let sched = if jobs > 1 { "lpt" } else { "fifo" };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"generator\":\"repro-bench\",\"label\":\"{}\",\"quick\":{quick},\"txns\":{},\
-         \"seed\":{seed},\"jobs\":{jobs},\"sched\":\"{sched}\",\"total_wall_ms\":{},\
-         \"experiments\":[",
-        escape(label),
-        match txns {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        },
-        number(total_wall_ms)
-    ));
-    for (i, t) in timings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Scalars first, nested objects last: `bench_gate` reads the FIRST
-        // `"wall_ms":` in each entry and splits entries on `{"key":`, so the
-        // experiment-level scalars must precede the calibration array and
-        // its objects must be keyed `"probe"`, never `"key"`.
-        out.push_str(&format!(
-            "{{\"key\":\"{}\",\"wall_ms\":{},\"rows\":{},\"failed_probes\":{},\"ok\":{},\
-             \"probes\":{},\"distinct_probes\":{},\"cache_hits\":{},\"dedup_saved_ms\":{},\
-             \"calibration\":[",
-            escape(&t.key),
-            number(t.wall_ms),
-            t.rows,
-            t.failed_probes,
-            t.ok,
-            t.probes,
-            t.distinct_probes,
-            t.cache_hits,
-            number(t.dedup_saved_ms)
-        ));
-        for (j, c) in t.calibration.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"probe\":\"{}\",\"predicted\":{},\"wall_ms\":{}}}",
-                escape(&c.probe),
-                number(c.predicted),
-                number(c.wall_ms)
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    Value::object([
+        ("generator", "repro-bench".into()),
+        ("label", label.into()),
+        ("quick", quick.into()),
+        ("txns", txns.into()),
+        ("seed", seed.into()),
+        ("jobs", jobs.into()),
+        ("sched", sched.into()),
+        ("total_wall_ms", total_wall_ms.into()),
+        (
+            "experiments",
+            Value::array(timings.iter().map(|t| {
+                Value::object([
+                    ("key", (&t.key).into()),
+                    ("wall_ms", t.wall_ms.into()),
+                    ("rows", t.rows.into()),
+                    ("failed_probes", t.failed_probes.into()),
+                    ("ok", t.ok.into()),
+                    ("probes", t.probes.into()),
+                    ("distinct_probes", t.distinct_probes.into()),
+                    ("cache_hits", t.cache_hits.into()),
+                    ("dedup_saved_ms", t.dedup_saved_ms.into()),
+                    (
+                        "calibration",
+                        Value::array(t.calibration.iter().map(|c| {
+                            Value::object([
+                                ("probe", (&c.probe).into()),
+                                ("predicted", c.predicted.into()),
+                                ("wall_ms", c.wall_ms.into()),
+                            ])
+                        })),
+                    ),
+                ])
+            })),
+        ),
+    ])
 }
 
 /// Serialize one `repro explore` run.
@@ -326,94 +259,97 @@ pub fn explore_document(
 ) -> String {
     // No worker count in the header: the document is byte-compared across
     // `--jobs` values, so only inputs that determine results may appear.
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"generator\":\"repro-explore\",\"quick\":{quick},\"txns\":{txns},\"seed\":{seed},\
-         \"grid\":{{\"points\":{},\"sampled_out\":{},\"pruned\":{},\
-         \"measured\":{}}},\"pruned\":[",
-        outcome.grid_points,
-        outcome.sampled_out,
-        outcome.cut.len(),
-        outcome.designs.len()
-    ));
-    for (i, c) in outcome.cut.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"forecast_tps\":{},\"group_best_tps\":{}}}",
-            escape(&c.name),
-            number(c.forecast_tps),
-            number(c.group_best_tps)
-        ));
-    }
-    out.push_str("],\"designs\":[");
-    for (i, d) in outcome.designs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cell\":\"{}\",\"forecast_tps\":{},\"tps\":{},\"p99_ms\":{},\
-             \"recovery_ms\":{},\"pareto\":{}}}",
-            escape(&d.name),
-            escape(&d.cell),
-            number(d.forecast_tps),
-            number(d.measured_tps),
-            number(d.p99_ms),
-            number(d.recovery_ms),
-            d.on_front
-        ));
-    }
-    out.push_str("],\"pareto_front\":[");
-    for (i, d) in outcome.designs.iter().filter(|d| d.on_front).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\"", escape(&d.name)));
-    }
-    out.push_str(&format!(
-        "],\"calibration\":{{\"kendall_tau\":{},\"cells\":[",
-        number(outcome.kendall_tau)
-    ));
-    for (i, c) in outcome.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"cell\":\"{}\",\"designs\":{},\"mean_abs_rel_err\":{},\"correction\":{}}}",
-            escape(&c.cell),
-            c.designs,
-            number(c.mean_abs_rel_err),
-            number(c.correction)
-        ));
-    }
-    out.push_str("],\"scheduling\":[");
-    for (i, (probe, predicted, wall_ms)) in scheduling.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"probe\":\"{}\",\"predicted\":{},\"wall_ms\":{}}}",
-            escape(probe),
-            number(*predicted),
-            match wall_ms {
-                Some(w) => number(*w),
-                None => "null".to_string(),
-            }
-        ));
-    }
-    // Probe accounting stops at the deterministic counters: wall clocks and
-    // cache hits vary run to run and would break the byte-identical
-    // cold/warm and jobs-1/jobs-N comparisons this document is under.
-    out.push_str(&format!(
-        "]}},\"probes\":{{\"scheduled\":{},\"distinct\":{}}}}}",
-        outcome.plan.probes, outcome.plan.distinct_probes
-    ));
-    out
+    // Probe accounting likewise stops at the deterministic counters: wall
+    // clocks and cache hits vary run to run and would break the
+    // byte-identical cold/warm and jobs-1/jobs-N comparisons.
+    Value::object([
+        ("generator", "repro-explore".into()),
+        ("quick", quick.into()),
+        ("txns", txns.into()),
+        ("seed", seed.into()),
+        (
+            "grid",
+            Value::object([
+                ("points", outcome.grid_points.into()),
+                ("sampled_out", outcome.sampled_out.into()),
+                ("pruned", outcome.cut.len().into()),
+                ("measured", outcome.designs.len().into()),
+            ]),
+        ),
+        (
+            "pruned",
+            Value::array(outcome.cut.iter().map(|c| {
+                Value::object([
+                    ("name", (&c.name).into()),
+                    ("forecast_tps", c.forecast_tps.into()),
+                    ("group_best_tps", c.group_best_tps.into()),
+                ])
+            })),
+        ),
+        (
+            "designs",
+            Value::array(outcome.designs.iter().map(|d| {
+                Value::object([
+                    ("name", (&d.name).into()),
+                    ("cell", (&d.cell).into()),
+                    ("forecast_tps", d.forecast_tps.into()),
+                    ("tps", d.measured_tps.into()),
+                    ("p99_ms", d.p99_ms.into()),
+                    ("recovery_ms", d.recovery_ms.into()),
+                    ("pareto", d.on_front.into()),
+                ])
+            })),
+        ),
+        (
+            "pareto_front",
+            Value::array(
+                outcome
+                    .designs
+                    .iter()
+                    .filter(|d| d.on_front)
+                    .map(|d| &d.name),
+            ),
+        ),
+        (
+            "calibration",
+            Value::object([
+                ("kendall_tau", outcome.kendall_tau.into()),
+                (
+                    "cells",
+                    Value::array(outcome.cells.iter().map(|c| {
+                        Value::object([
+                            ("cell", (&c.cell).into()),
+                            ("designs", c.designs.into()),
+                            ("mean_abs_rel_err", c.mean_abs_rel_err.into()),
+                            ("correction", c.correction.into()),
+                        ])
+                    })),
+                ),
+                (
+                    "scheduling",
+                    Value::array(scheduling.iter().map(|(probe, predicted, wall_ms)| {
+                        Value::object([
+                            ("probe", probe.into()),
+                            ("predicted", (*predicted).into()),
+                            ("wall_ms", (*wall_ms).into()),
+                        ])
+                    })),
+                ),
+            ]),
+        ),
+        (
+            "probes",
+            Value::object([
+                ("scheduled", outcome.plan.probes.into()),
+                ("distinct", outcome.plan.distinct_probes.into()),
+            ]),
+        ),
+    ])
+    .to_string()
 }
 
-/// The fixed head of a bench-history document.
-const HISTORY_PREFIX: &str = "{\"generator\":\"repro-bench-history\",\"entries\":[";
+/// The `generator` stamp of a bench-history document.
+const HISTORY_GENERATOR: &str = "repro-bench-history";
 
 /// A stable fallback `--bench-key`: a digest of the run's own parameters,
 /// for environments where `git describe` has nothing to say (tarball
@@ -421,7 +357,6 @@ const HISTORY_PREFIX: &str = "{\"generator\":\"repro-bench-history\",\"entries\"
 /// same key, so trailing-entry comparisons in the trajectory still line up;
 /// the wall clock is never consulted.
 pub fn stable_bench_key(quick: bool, txns: Option<u64>, seed: u64, jobs: usize) -> String {
-    // FNV-1a over the canonical parameter string: tiny, stable, no deps.
     let params = format!(
         "quick={quick};txns={};seed={seed};jobs={jobs}",
         match txns {
@@ -429,54 +364,53 @@ pub fn stable_bench_key(quick: bool, txns: Option<u64>, seed: u64, jobs: usize) 
             None => "default".to_string(),
         }
     );
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in params.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
     format!(
-        "run-{}{}-j{jobs}-{hash:08x}",
+        "run-{}{}-j{jobs}-{:08x}",
         if quick { "quick" } else { "full" },
         match txns {
             Some(n) => format!("-t{n}"),
             None => String::new(),
-        }
+        },
+        fnv1a_64(params.as_bytes())
     )
 }
 
 /// Append one [`bench_document`] entry to a bench-history document,
 /// returning the new document. `existing` is the current file content
-/// (`None` or empty starts a fresh history). The history format is fixed —
-/// `{"generator":"repro-bench-history","entries":[…]}` — and a file that
-/// does not match it is refused rather than silently overwritten. An entry
-/// that is byte-identical to one already recorded (same key *and* payload —
-/// e.g. a re-run script appending the same document twice) leaves the
-/// history unchanged instead of duplicating it.
-pub fn append_history(existing: Option<&str>, entry: &str) -> Result<String, String> {
-    let fresh = || format!("{HISTORY_PREFIX}{entry}]}}");
-    match existing.map(str::trim) {
-        None | Some("") => Ok(fresh()),
-        Some(doc) => {
-            let entries = doc
-                .strip_prefix(HISTORY_PREFIX)
-                .and_then(|body| body.strip_suffix("]}"))
-                .ok_or_else(|| {
-                    "not a repro-bench-history document (refusing to overwrite)".to_string()
-                })?;
-            if entries.is_empty() {
-                Ok(fresh())
-            } else if entries == entry
-                || entries.starts_with(&format!("{entry},"))
-                || entries.ends_with(&format!(",{entry}"))
-                || entries.contains(&format!(",{entry},"))
-            {
-                // Exact duplicate (key and payload): keep the history as-is.
-                Ok(doc.to_string())
-            } else {
-                Ok(format!("{HISTORY_PREFIX}{entries},{entry}]}}"))
+/// (`None` or blank starts a fresh history). The history format is
+/// `{"generator":"repro-bench-history","entries":[…]}`; a file that does not
+/// parse as one is refused rather than silently overwritten. The existing
+/// entries are written back unchanged, byte for byte. An entry that is
+/// byte-identical to *any* entry already recorded (same label *and*
+/// payload — e.g. a re-run script appending the same document twice, or an
+/// all-zero warm-cache run) leaves the history unchanged instead of
+/// duplicating it.
+pub fn append_history(existing: Option<&str>, entry: Value) -> Result<String, String> {
+    let mut entries = match existing.map(str::trim) {
+        None | Some("") => Vec::new(),
+        Some(text) => {
+            let refuse = |why: String| {
+                format!("not a {HISTORY_GENERATOR} document ({why}; refusing to overwrite)")
+            };
+            let doc = json::parse(text).map_err(refuse)?;
+            if doc.get("generator").and_then(Value::as_str) != Some(HISTORY_GENERATOR) {
+                return Err(refuse("wrong generator".to_string()));
             }
+            doc.get("entries")
+                .and_then(Value::as_array)
+                .ok_or_else(|| refuse("no entries array".to_string()))?
+                .to_vec()
         }
+    };
+    let written = entry.to_string();
+    if !entries.iter().any(|e| e.to_string() == written) {
+        entries.push(entry);
     }
+    Ok(Value::object([
+        ("generator", HISTORY_GENERATOR.into()),
+        ("entries", Value::Array(entries)),
+    ])
+    .to_string())
 }
 
 #[cfg(test)]
@@ -544,19 +478,30 @@ mod tests {
 
     #[test]
     fn escapes_quotes_backslashes_and_control_characters() {
-        assert_eq!(escape("a\"b\\c\nd\te\u{1}"), "a\\\"b\\\\c\\nd\\te\\u0001");
+        let mut rep = sample();
+        rep.text = Some("a\"b\\c\nd\te\u{1}".into());
+        assert!(report("k", &rep)
+            .to_string()
+            .ends_with("\"text\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}"));
     }
 
     #[test]
     fn non_finite_numbers_become_null() {
-        assert_eq!(number(1.5), "1.5");
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
+        let mut rep = sample();
+        rep.rows[0].values = vec![
+            ("a".into(), 1.5),
+            ("b".into(), f64::NAN),
+            ("c".into(), f64::INFINITY),
+        ];
+        assert!(report("k", &rep).to_string().contains(
+            "\"values\":[{\"column\":\"a\",\"value\":1.5},{\"column\":\"b\",\"value\":null},\
+             {\"column\":\"c\",\"value\":null}]"
+        ));
     }
 
     #[test]
     fn report_serialization_contains_rows_and_nan_as_null() {
-        let json = report("fig00", &sample());
+        let json = report("fig00", &sample()).to_string();
         assert!(json.starts_with("{\"key\":\"fig00\",\"id\":\"Figure 0\""));
         assert!(json.contains("\"label\":\"θ=1\""));
         assert!(json.contains("{\"column\":\"tps\",\"value\":12.5}"));
@@ -576,7 +521,7 @@ mod tests {
                 index: 1,
                 message: "cannot build \"TiKV\"".into(),
             });
-        let json = report("fig00", &rep);
+        let json = report("fig00", &rep).to_string();
         assert!(json.contains(
             "\"failures\":[{\"row\":\"θ=1\",\"probe\":\"TiKV\",\"index\":1,\
              \"message\":\"cannot build \\\"TiKV\\\"\"}]"
@@ -585,7 +530,7 @@ mod tests {
 
     #[test]
     fn time_series_serialize_per_row() {
-        let json = report("fig00", &sample_with_series());
+        let json = report("fig00", &sample_with_series()).to_string();
         assert!(json.contains(
             "\"series\":[{\"name\":\"etcd\",\"events_clamped\":0,\"oracles\":[\
              {\"name\":\"receipt-conservation\",\"violation\":null},\
@@ -644,7 +589,7 @@ mod tests {
                 calibration: Vec::new(),
             },
         ];
-        let doc = bench_document("pr5-jobs4", true, None, 7, 4, &timings);
+        let doc = bench_document("pr5-jobs4", true, None, 7, 4, &timings).to_string();
         assert!(doc.starts_with(
             "{\"generator\":\"repro-bench\",\"label\":\"pr5-jobs4\",\"quick\":true,\
              \"txns\":null,\"seed\":7,\"jobs\":4,\"sched\":\"lpt\",\"total_wall_ms\":20,\
@@ -661,7 +606,7 @@ mod tests {
              \"calibration\":[]}"
         ));
         assert!(doc.ends_with("]}"));
-        let empty = bench_document("x", false, Some(42), 1, 1, &[]);
+        let empty = bench_document("x", false, Some(42), 1, 1, &[]).to_string();
         assert!(empty.contains("\"txns\":42") && empty.contains("\"experiments\":[]"));
         assert!(
             empty.contains("\"sched\":\"fifo\""),
@@ -670,42 +615,41 @@ mod tests {
     }
 
     #[test]
-    fn calibration_objects_never_collide_with_the_entry_scanner() {
-        // `bench_gate` splits entries on `{"key":` and reads the first
-        // `"wall_ms":` of each chunk — the calibration array must not defeat
-        // either convention.
-        let timings = vec![BenchTiming {
-            key: "fig04".into(),
-            wall_ms: 99.0,
-            rows: 1,
-            failed_probes: 0,
-            ok: true,
-            probes: 2,
-            distinct_probes: 2,
-            cache_hits: 0,
-            dedup_saved_ms: 0.0,
-            calibration: vec![
-                ProbeCalibration {
-                    probe: "a".into(),
-                    predicted: 1.0,
-                    wall_ms: 1.0,
-                },
-                ProbeCalibration {
-                    probe: "b".into(),
-                    predicted: f64::NAN,
-                    wall_ms: 2.0,
-                },
-            ],
-        }];
-        let doc = bench_document("k", true, None, 7, 1, &timings);
-        assert_eq!(doc.matches("{\"key\":").count(), 1, "one entry, one key");
-        let entry = doc.split("{\"key\":").nth(1).unwrap();
-        let first_wall = entry.split("\"wall_ms\":").nth(1).unwrap();
-        assert!(
-            first_wall.starts_with("99"),
-            "experiment wall_ms precedes calibration walls: {first_wall}"
-        );
-        assert!(doc.contains("{\"probe\":\"b\",\"predicted\":null,\"wall_ms\":2}"));
+    fn a_real_bench_document_parses_back_with_its_probe_accounting() {
+        use crate::{plan_for, RunOptions};
+        use dichotomy_core::scenario::{run_plans_with, ExecOptions};
+        use dichotomy_core::systems::SystemRegistry;
+        let opts = RunOptions {
+            txns: Some(200),
+            ..RunOptions::quick()
+        };
+        let mut plan = plan_for("fig13", &opts).unwrap();
+        // A repeated row: its probes deduplicate onto the first row's.
+        plan.rows.push(plan.rows[0].clone());
+        let outcome = run_plans_with(
+            &[&plan],
+            &SystemRegistry::with_builtins(),
+            &ExecOptions::with_jobs(1),
+        )
+        .remove(0);
+        let timing = BenchTiming::from_outcome("fig13".into(), &outcome);
+        let doc = bench_document("real", true, Some(200), 7, 1, &[timing]).to_string();
+        let parsed = json::parse(&doc).unwrap();
+        assert_eq!(parsed.to_string(), doc);
+        let experiment = &parsed.get("experiments").and_then(Value::as_array).unwrap()[0];
+        let field = |name: &str| experiment.get(name).and_then(Value::as_f64).unwrap();
+        assert!(field("probes") > field("distinct_probes"));
+        assert!(field("dedup_saved_ms") > 0.0, "{doc}");
+        let calibration = experiment
+            .get("calibration")
+            .and_then(Value::as_array)
+            .unwrap();
+        assert_eq!(calibration.len() as f64, field("distinct_probes"));
+        for c in calibration {
+            assert!(!c.get("probe").and_then(Value::as_str).unwrap().is_empty());
+            assert!(c.get("predicted").and_then(Value::as_f64).unwrap() > 0.0);
+            assert!(c.get("wall_ms").and_then(Value::as_f64).unwrap() >= 0.0);
+        }
     }
 
     #[test]
@@ -786,25 +730,25 @@ mod tests {
     fn bench_history_accumulates_entries_across_appends() {
         let entry = |label: &str| bench_document(label, true, None, 7, 1, &[]);
         // A fresh history wraps the first entry.
-        let first = append_history(None, &entry("pr5-jobs1")).unwrap();
+        let first = append_history(None, entry("pr5-jobs1")).unwrap();
         assert!(first.starts_with("{\"generator\":\"repro-bench-history\",\"entries\":["));
         assert!(first.ends_with("]}"));
         assert_eq!(first.matches("\"generator\":\"repro-bench\"").count(), 1);
         // Appending keeps earlier entries; whitespace around the document is
         // tolerated (editors add trailing newlines).
-        let second = append_history(Some(&format!("{first}\n")), &entry("pr6-jobs1")).unwrap();
+        let second = append_history(Some(&format!("{first}\n")), entry("pr6-jobs1")).unwrap();
         assert_eq!(second.matches("\"generator\":\"repro-bench\"").count(), 2);
         assert!(second.contains("\"label\":\"pr5-jobs1\""));
         assert!(second.contains("\"label\":\"pr6-jobs1\""));
-        let third = append_history(Some(&second), &entry("pr7-jobs4")).unwrap();
+        let third = append_history(Some(&second), entry("pr7-jobs4")).unwrap();
         assert_eq!(third.matches("\"label\":").count(), 3);
         // An empty file behaves like a missing one; an alien document is
         // refused, never clobbered.
-        assert_eq!(append_history(Some("  \n"), &entry("a")).unwrap(), {
-            append_history(None, &entry("a")).unwrap()
+        assert_eq!(append_history(Some("  \n"), entry("a")).unwrap(), {
+            append_history(None, entry("a")).unwrap()
         });
-        assert!(append_history(Some("{\"generator\":\"repro\"}"), &entry("a")).is_err());
-        assert!(append_history(Some("garbage"), &entry("a")).is_err());
+        assert!(append_history(Some("{\"generator\":\"repro\"}"), entry("a")).is_err());
+        assert!(append_history(Some("garbage"), entry("a")).is_err());
     }
 
     #[test]
@@ -813,16 +757,29 @@ mod tests {
         let other = bench_document("other", true, None, 7, 1, &[]);
         // Re-appending the identical entry leaves the history unchanged,
         // wherever in the entry list it already sits.
-        let first = append_history(None, &entry).unwrap();
-        assert_eq!(append_history(Some(&first), &entry).unwrap(), first);
-        let two = append_history(Some(&first), &other).unwrap();
-        assert_eq!(append_history(Some(&two), &entry).unwrap(), two);
-        assert_eq!(append_history(Some(&two), &other).unwrap(), two);
+        let first = append_history(None, entry.clone()).unwrap();
+        assert_eq!(append_history(Some(&first), entry.clone()).unwrap(), first);
+        let two = append_history(Some(&first), other.clone()).unwrap();
+        assert_eq!(append_history(Some(&two), entry).unwrap(), two);
+        assert_eq!(append_history(Some(&two), other).unwrap(), two);
         // A same-key entry with a *different* payload still appends: re-runs
         // with new numbers are trajectory, not duplication.
         let rerun = bench_document("same", true, None, 9, 1, &[]);
-        let three = append_history(Some(&two), &rerun).unwrap();
+        let three = append_history(Some(&two), rerun).unwrap();
         assert_eq!(three.matches("\"label\":\"same\"").count(), 2);
+    }
+
+    #[test]
+    fn appending_keeps_every_committed_history_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.json");
+        let committed = std::fs::read_to_string(path).unwrap();
+        let committed = committed.trim();
+        assert_eq!(json::parse(committed).unwrap().to_string(), committed);
+        let entry = bench_document("appended", true, None, 7, 1, &[]);
+        let written = entry.to_string();
+        let appended = append_history(Some(committed), entry).unwrap();
+        let kept = committed.strip_suffix("]}").unwrap();
+        assert_eq!(appended, format!("{kept},{written}]}}"));
     }
 
     #[test]

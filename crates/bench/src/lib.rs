@@ -21,7 +21,7 @@ pub mod json;
 use dichotomy_core::driver::ArrivalSpec;
 use dichotomy_core::experiments::{self as exp, ExperimentReport};
 use dichotomy_core::metrics::MetricsMode;
-use dichotomy_core::scenario::{run_plan, run_plan_with, ExecOptions, ExperimentPlan, Probe};
+use dichotomy_core::scenario::{run_plan_with, ExecOptions, ExperimentPlan, Probe};
 use dichotomy_core::systems::SystemRegistry;
 
 /// Every experiment the harness can run, with its identifier.
@@ -196,30 +196,11 @@ fn apply_metrics_override(mut plan: ExperimentPlan, over: Option<MetricsMode>) -
     plan
 }
 
-/// Run one experiment by id and return its structured report.
-pub fn run_report(id: &str, opts: &RunOptions) -> Option<ExperimentReport> {
-    plan_for(id, opts).map(|plan| run_plan(&plan))
-}
-
-/// Run one experiment by id under explicit execution options (worker count,
-/// progress callback) — what `repro --jobs/--progress` goes through.
-pub fn run_report_with(
-    id: &str,
-    opts: &RunOptions,
-    exec: &ExecOptions,
-) -> Option<ExperimentReport> {
+/// Run one experiment by id under the given scale/seed options and
+/// execution options (worker count, progress, cache). Returns `None` for
+/// unknown ids.
+pub fn run_experiment(id: &str, opts: &RunOptions, exec: &ExecOptions) -> Option<ExperimentReport> {
     plan_for(id, opts).map(|plan| run_plan_with(&plan, &SystemRegistry::with_builtins(), exec))
-}
-
-/// Run one experiment by id and return its printable report. `quick` scales
-/// the transaction counts down for smoke runs.
-pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
-    let opts = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::default()
-    };
-    run_report(id, &opts).map(|report| report.render())
 }
 
 /// Whether any driving probe of the plan carries a non-empty fault schedule
@@ -249,16 +230,21 @@ pub fn list_experiments() -> Vec<(&'static str, &'static str, &'static str, bool
 mod tests {
     use super::*;
 
+    /// One experiment at quick scale and the default seed.
+    fn quick(id: &str) -> Option<ExperimentReport> {
+        run_experiment(id, &RunOptions::quick(), &ExecOptions::default())
+    }
+
     #[test]
     fn every_listed_experiment_runs_in_quick_mode() {
         // The heavyweight sweeps are exercised by the bin and by
         // dichotomy-core's tests; here we check the dispatch table for the
         // cheap ones so `cargo test` stays fast.
         for id in ["fig13", "fig15", "tab02"] {
-            let out = run_experiment(id, true).expect("known experiment");
+            let out = quick(id).expect("known experiment").render();
             assert!(!out.is_empty());
         }
-        assert!(run_experiment("nope", true).is_none());
+        assert!(quick("nope").is_none());
         assert_eq!(EXPERIMENTS.len(), 20);
     }
 
@@ -303,7 +289,7 @@ mod tests {
         // times): the unsaturated rows track Little's law — tps scales with
         // the population — and the top row saturates, so throughput stops
         // scaling linearly while latency inflects upward.
-        let report = run_report("scale01", &RunOptions::quick()).unwrap();
+        let report = quick("scale01").unwrap();
         assert_eq!(report.rows.len(), 3);
         assert!(report.failures.is_empty());
         let tps: Vec<f64> = [8u64, 64, 2_000]
@@ -362,16 +348,17 @@ mod tests {
             _ => panic!("closed01 drives"),
         }
         // A closed-loop override still runs end to end.
-        let report = run_report("fig13", &closed).expect("non-driving plans are untouched");
+        let report = run_experiment("fig13", &closed, &ExecOptions::default())
+            .expect("non-driving plans are untouched");
         assert!(!report.rows.is_empty());
     }
 
     #[test]
     fn closed01_and_ramp01_are_dispatchable_and_windowed() {
-        let closed = run_report("closed01", &RunOptions::quick()).unwrap();
+        let closed = quick("closed01").unwrap();
         assert_eq!(closed.rows.len(), 7);
         assert!(closed.failures.is_empty());
-        let ramp = run_report("ramp01", &RunOptions::quick()).unwrap();
+        let ramp = quick("ramp01").unwrap();
         assert_eq!(ramp.rows.len(), 1);
         assert!(ramp.failures.is_empty());
         let series = &ramp.rows[0].series[0].series;
@@ -382,7 +369,7 @@ mod tests {
 
     #[test]
     fn fault01_smoke_run_reports_a_windowed_series() {
-        let report = run_report("fault01", &RunOptions::quick()).expect("known experiment");
+        let report = quick("fault01").expect("known experiment");
         assert_eq!(report.rows.len(), 1);
         let series = &report.rows[0].series;
         assert_eq!(series.len(), 1);

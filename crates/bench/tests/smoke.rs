@@ -4,14 +4,22 @@
 //! reproducible, and the `--json` document must be valid JSON covering every
 //! experiment.
 
-use dichotomy_bench::{json, run_experiment, run_report, run_report_with, RunOptions, EXPERIMENTS};
+use dichotomy_bench::{json, run_experiment, RunOptions, EXPERIMENTS};
+use dichotomy_core::common::json::{parse, Value};
+use dichotomy_core::experiments::ExperimentReport;
 use dichotomy_core::scenario::ExecOptions;
+
+/// One experiment at quick scale and the default seed.
+fn quick(id: &str) -> Option<ExperimentReport> {
+    run_experiment(id, &RunOptions::quick(), &ExecOptions::default())
+}
 
 #[test]
 fn every_experiment_produces_a_nonempty_quick_report() {
     for id in EXPERIMENTS {
-        let out = run_experiment(id, true)
-            .unwrap_or_else(|| panic!("experiment '{id}' missing from the dispatch table"));
+        let out = quick(id)
+            .unwrap_or_else(|| panic!("experiment '{id}' missing from the dispatch table"))
+            .render();
         assert!(
             !out.trim().is_empty(),
             "experiment '{id}' produced an empty report"
@@ -24,18 +32,22 @@ fn quick_reports_are_reproducible() {
     // Everything is seeded; two runs of the same experiment must agree
     // byte for byte. One cheap simulation-backed id suffices here — the full
     // table is covered above and a repro invocation is checked in CI.
-    assert_eq!(run_experiment("tab05", true), run_experiment("tab05", true));
+    assert_eq!(
+        quick("tab05").map(|r| r.render()),
+        quick("tab05").map(|r| r.render())
+    );
 }
 
 #[test]
 fn seeded_reports_differ_across_seeds_but_not_within_one() {
     let at_seed = |seed: u64| {
-        run_report(
+        run_experiment(
             "tab05",
             &RunOptions {
                 seed,
                 ..RunOptions::quick()
             },
+            &ExecOptions::default(),
         )
         .unwrap()
     };
@@ -45,7 +57,7 @@ fn seeded_reports_differ_across_seeds_but_not_within_one() {
 
 #[test]
 fn unknown_ids_are_rejected() {
-    assert!(run_experiment("fig99", true).is_none());
+    assert!(quick("fig99").is_none());
 }
 
 #[test]
@@ -55,8 +67,8 @@ fn worker_count_does_not_change_a_seeded_report() {
     // counts (the exhaustive per-system-kind check lives in dichotomy-core).
     let opts = RunOptions::quick();
     for id in ["tab05", "fault01"] {
-        let sequential = run_report_with(id, &opts, &ExecOptions::with_jobs(1)).unwrap();
-        let parallel = run_report_with(id, &opts, &ExecOptions::with_jobs(8)).unwrap();
+        let sequential = run_experiment(id, &opts, &ExecOptions::with_jobs(1)).unwrap();
+        let parallel = run_experiment(id, &opts, &ExecOptions::with_jobs(8)).unwrap();
         assert_eq!(sequential, parallel, "{id}");
         assert_eq!(
             json::report(id, &sequential),
@@ -82,12 +94,12 @@ fn a_zero_row_plan_serializes_to_a_valid_empty_document() {
     let report = run_plan(&plan);
     assert!(report.rows.is_empty() && report.failures.is_empty());
     let doc = json::document(true, None, 7, &[("empty".to_string(), report)]);
-    let value = parse_json(&doc).expect("zero-row reports must serialize to valid JSON");
-    let experiments = value.get("experiments").and_then(Json::as_array).unwrap();
+    let value = parse(&doc).expect("zero-row reports must serialize to valid JSON");
+    let experiments = value.get("experiments").and_then(Value::as_array).unwrap();
     assert_eq!(experiments.len(), 1);
     assert!(experiments[0]
         .get("rows")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .unwrap()
         .is_empty());
 }
@@ -99,33 +111,39 @@ fn the_json_document_is_valid_and_covers_every_experiment() {
     let opts = RunOptions::quick();
     let reports: Vec<_> = ["fig13", "fig15", "tab02", "fault01"]
         .iter()
-        .map(|id| (id.to_string(), run_report(id, &opts).unwrap()))
+        .map(|id| (id.to_string(), quick(id).unwrap()))
         .collect();
     let doc = json::document(true, None, opts.seed, &reports);
-    let value = parse_json(&doc).expect("repro --json output must parse as JSON");
+    let value = parse(&doc).expect("repro --json output must parse as JSON");
+    assert_eq!(value.to_string(), doc, "parse -> write is the identity");
+    // A document cut short anywhere is an error, never a panic.
+    let fig13 = json::document(true, None, opts.seed, &reports[..1]);
+    for end in (0..fig13.len()).filter(|&i| fig13.is_char_boundary(i)) {
+        assert!(parse(&fig13[..end]).is_err(), "{}", &fig13[..end]);
+    }
 
     let experiments = value
         .get("experiments")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("document has an experiments array");
     assert_eq!(experiments.len(), 4);
     // fault01 drives a workload: its row carries a windowed time series.
     let fault01 = &experiments[3];
-    let fault_rows = fault01.get("rows").and_then(Json::as_array).unwrap();
+    let fault_rows = fault01.get("rows").and_then(Value::as_array).unwrap();
     let series = fault_rows[0]
         .get("series")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("driving rows carry a series array");
     assert_eq!(series.len(), 1);
     let windows = series[0]
         .get("windows")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .expect("series has windows");
     assert!(!windows.is_empty());
     assert!(windows[0].get("tps").is_some() && windows[0].get("p95_us").is_some());
     // fig13 carries rows with finite values.
     let fig13 = &experiments[0];
-    let rows = fig13.get("rows").and_then(Json::as_array).unwrap();
+    let rows = fig13.get("rows").and_then(Value::as_array).unwrap();
     assert_eq!(rows.len(), 4);
     // fig15's missing reported numbers serialize as null, not NaN.
     assert!(!doc.contains("NaN"));
@@ -133,178 +151,11 @@ fn the_json_document_is_valid_and_covers_every_experiment() {
     let tab02 = &experiments[2];
     assert!(tab02
         .get("rows")
-        .and_then(Json::as_array)
+        .and_then(Value::as_array)
         .unwrap()
         .is_empty());
-    assert!(matches!(tab02.get("text"), Some(Json::String(s)) if s.contains("Quorum")));
-}
-
-// --- A minimal JSON parser, test-only, to validate the writer without an
-// --- external crate.
-
-#[derive(Debug)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&Vec<Json>> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let bytes: Vec<char> = s.chars().collect();
-    let mut pos = 0;
-    let value = parse_value(&bytes, &mut pos)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(s: &[char], pos: &mut usize) {
-    while *pos < s.len() && s[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(s: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    if s.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{c}' at {pos}"))
-    }
-}
-
-fn parse_value(s: &[char], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(s, pos);
-    match s.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(s, pos);
-            if s.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                skip_ws(s, pos);
-                let key = match parse_value(s, pos)? {
-                    Json::String(k) => k,
-                    other => return Err(format!("non-string key {other:?}")),
-                };
-                skip_ws(s, pos);
-                expect(s, pos, ':')?;
-                fields.push((key, parse_value(s, pos)?));
-                skip_ws(s, pos);
-                match s.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at {pos}")),
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(s, pos);
-            if s.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(s, pos)?);
-                skip_ws(s, pos);
-                match s.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at {pos}")),
-                }
-            }
-        }
-        Some('"') => {
-            *pos += 1;
-            let mut out = String::new();
-            loop {
-                match s.get(*pos) {
-                    Some('"') => {
-                        *pos += 1;
-                        return Ok(Json::String(out));
-                    }
-                    Some('\\') => {
-                        *pos += 1;
-                        match s.get(*pos) {
-                            Some('"') => out.push('"'),
-                            Some('\\') => out.push('\\'),
-                            Some('/') => out.push('/'),
-                            Some('n') => out.push('\n'),
-                            Some('r') => out.push('\r'),
-                            Some('t') => out.push('\t'),
-                            Some('u') => {
-                                let hex: String = s[*pos + 1..*pos + 5].iter().collect();
-                                let code = u32::from_str_radix(&hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
-                                out.push(char::from_u32(code).ok_or("bad codepoint")?);
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(c) if (*c as u32) >= 0x20 => {
-                        out.push(*c);
-                        *pos += 1;
-                    }
-                    other => return Err(format!("bad string char {other:?}")),
-                }
-            }
-        }
-        Some('t') if s[*pos..].starts_with(&['t', 'r', 'u', 'e']) => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some('f') if s[*pos..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some('n') if s[*pos..].starts_with(&['n', 'u', 'l', 'l']) => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(c) if *c == '-' || c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < s.len() && (s[*pos].is_ascii_digit() || "+-.eE".contains(s[*pos])) {
-                *pos += 1;
-            }
-            let text: String = s[start..*pos].iter().collect();
-            text.parse::<f64>()
-                .map(Json::Number)
-                .map_err(|e| format!("bad number '{text}': {e}"))
-        }
-        other => Err(format!("unexpected {other:?} at {pos}")),
-    }
+    assert!(tab02
+        .get("text")
+        .and_then(Value::as_str)
+        .is_some_and(|s| s.contains("Quorum")));
 }

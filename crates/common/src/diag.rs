@@ -10,6 +10,7 @@
 //! `FaultPlan::validate`, `dichotomy-core` attaches plan loci during scenario
 //! expansion, and the `dichotomy-lint` / `repro` binaries render them.
 
+use crate::json::Value;
 use std::fmt;
 
 /// How serious a finding is. Ordering is ascending severity, so
@@ -173,67 +174,63 @@ impl Diagnostic {
         out
     }
 
-    /// JSON object rendering (hand-rolled; the workspace is offline-only).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\":\"{}\"", self.code));
-        out.push_str(&format!(",\"severity\":\"{}\"", self.severity));
+    /// JSON object rendering: `code`, `severity`, the locus fields, then
+    /// `message` and the optional `help`.
+    pub fn to_json(&self) -> Value {
+        let mut fields: Vec<(&str, Value)> = vec![
+            ("code", self.code.into()),
+            ("severity", self.severity.label().into()),
+        ];
         match &self.locus {
             Locus::None => {}
             Locus::Source { file, line } => {
-                out.push_str(&format!(",\"file\":{},\"line\":{line}", json_string(file)));
+                fields.push(("file", file.into()));
+                fields.push(("line", (*line).into()));
             }
             Locus::Plan {
                 experiment,
                 row,
                 probe,
             } => {
-                out.push_str(&format!(",\"experiment\":{}", json_string(experiment)));
+                fields.push(("experiment", experiment.into()));
                 if !row.is_empty() {
-                    out.push_str(&format!(",\"row\":{}", json_string(row)));
+                    fields.push(("row", row.into()));
                 }
                 if !probe.is_empty() {
-                    out.push_str(&format!(",\"probe\":{}", json_string(probe)));
+                    fields.push(("probe", probe.into()));
                 }
             }
         }
-        out.push_str(&format!(",\"message\":{}", json_string(&self.message)));
+        fields.push(("message", (&self.message).into()));
         if let Some(help) = &self.help {
-            out.push_str(&format!(",\"help\":{}", json_string(help)));
+            fields.push(("help", help.into()));
         }
-        out.push('}');
-        out
+        Value::object(fields)
     }
 }
 
 /// Render a diagnostic list as a JSON array (stable order: input order).
-pub fn to_json_array(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    format!("[{}]", items.join(","))
+pub fn to_json_array(diags: &[Diagnostic]) -> Value {
+    Value::array(diags.iter().map(Diagnostic::to_json))
+}
+
+/// The `--json` document of a linting command, newline-terminated: the
+/// caller's `header` fields (`generator` first), then the `findings` and
+/// `deny` counts and the `diagnostics` array.
+pub fn json_document(mut header: Vec<(&str, Value)>, diags: &[Diagnostic]) -> String {
+    let denies = diags
+        .iter()
+        .filter(|d| d.severity == Severity::Deny)
+        .count();
+    header.push(("findings", diags.len().into()));
+    header.push(("deny", denies.into()));
+    header.push(("diagnostics", to_json_array(diags)));
+    format!("{}\n", Value::object(header))
 }
 
 /// True if any finding is deny-level (the exit-1 policy for both linters).
 pub fn has_deny(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Deny)
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -271,12 +268,19 @@ mod tests {
     #[test]
     fn json_escapes_and_shapes() {
         let d = Diagnostic::new("S003", Severity::Note, "dup \"x\"\n").at_plan("fig04", "", "");
+        let expected = "{\"code\":\"S003\",\"severity\":\"note\",\"experiment\":\"fig04\",\
+                        \"message\":\"dup \\\"x\\\"\\n\"}";
+        assert_eq!(d.to_json().to_string(), expected);
+        assert_eq!(to_json_array(&[]).to_string(), "[]");
+        let deny = Diagnostic::new("D001", Severity::Deny, "d").at_source("a.rs", 3);
         assert_eq!(
-            d.to_json(),
-            "{\"code\":\"S003\",\"severity\":\"note\",\"experiment\":\"fig04\",\
-             \"message\":\"dup \\\"x\\\"\\n\"}"
+            json_document(vec![("generator", "g".into())], &[d, deny]),
+            format!(
+                "{{\"generator\":\"g\",\"findings\":2,\"deny\":1,\"diagnostics\":[{expected},\
+                 {{\"code\":\"D001\",\"severity\":\"deny\",\"file\":\"a.rs\",\"line\":3,\
+                 \"message\":\"d\"}}]}}\n"
+            )
         );
-        assert_eq!(to_json_array(&[]), "[]");
     }
 
     #[test]
@@ -291,7 +295,7 @@ mod tests {
     fn has_deny_policy() {
         let warn = Diagnostic::new("S001", Severity::Warn, "w");
         let deny = Diagnostic::new("D001", Severity::Deny, "d");
-        assert!(!has_deny(&[warn.clone()]));
+        assert!(!has_deny(std::slice::from_ref(&warn)));
         assert!(has_deny(&[warn, deny]));
     }
 }

@@ -23,6 +23,7 @@ pub mod crypto;
 pub mod diag;
 pub mod error;
 pub mod hash;
+pub mod json;
 pub mod rng;
 pub mod size;
 pub mod txn;

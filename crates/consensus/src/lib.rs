@@ -8,8 +8,6 @@
 //! * [`pbft`] — the three-phase BFT family (PBFT and its blockchain-tuned
 //!   IBFT variant used by Quorum): O(N²) message complexity, 2f+1 quorums out
 //!   of 3f+1 replicas, view change.
-//! * [`pow`] — simulated proof-of-work mining with longest-chain fork choice
-//!   (the permissionless baseline and the BlockchainDB substrate).
 //! * [`sharedlog`] — a Kafka-like shared-log ordering service (Fabric's
 //!   external orderer, Veritas, ChainifyDB, BRD).
 //! * [`profile`] — runs message-level rounds of each protocol over the
@@ -21,7 +19,6 @@
 //! nondeterminism (timeouts, network jitter) comes from the seeded simulator.
 
 pub mod pbft;
-pub mod pow;
 pub mod profile;
 pub mod raft;
 pub mod sharedlog;

@@ -6,9 +6,9 @@
 //! **failure model** (CFT ordering is cheaper than BFT, especially when the
 //! CFT protocol is a shared log). The framework places a design into a
 //! throughput *band* (low / medium / high) and produces a numeric
-//! back-of-the-envelope estimate from the replication profile, which the
-//! `fig15_hybrid_forecast` bench compares against the systems' reported
-//! numbers (Veritas 29 k vs ChainifyDB 6.1 k, etc.).
+//! back-of-the-envelope estimate from the replication profile, which
+//! Figure 15 (`fig15_plan`, `repro fig15`) compares against the systems'
+//! reported numbers (Veritas 29 k vs ChainifyDB 6.1 k, etc.).
 
 use std::fmt;
 

@@ -268,8 +268,8 @@ pub fn all_systems() -> Vec<SystemProfile> {
     ]
 }
 
-/// Render Table 2 as a fixed-width text table (used by the `tab02_taxonomy`
-/// bench binary and the docs).
+/// Render Table 2 as a fixed-width text table (the text of `tab02_plan`,
+/// which `repro tab02` prints).
 pub fn render_table2() -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dichotomy_common::diag::{has_deny, to_json_array};
+use dichotomy_common::diag::{has_deny, json_document};
 use dichotomy_common::Severity;
 
 fn main() -> ExitCode {
@@ -62,12 +62,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\"generator\":\"dichotomy-lint\",\"findings\":{},\"deny\":{},\"diagnostics\":{}}}\n",
-            diags.len(),
-            denies,
-            to_json_array(&diags)
-        );
+        let doc = json_document(vec![("generator", "dichotomy-lint".into())], &diags);
         if let Err(err) = std::fs::write(&path, doc) {
             eprintln!("dichotomy-lint: writing {}: {err}", path.display());
             return ExitCode::from(2);

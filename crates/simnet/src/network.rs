@@ -44,17 +44,6 @@ impl NetworkConfig {
             loopback_latency_us: 5,
         }
     }
-
-    /// A wide-area configuration (used by ablations; not needed for the
-    /// paper's figures but useful for exploring the design space).
-    pub fn wan() -> Self {
-        NetworkConfig {
-            base_latency_us: 25_000,
-            jitter_us: 5_000,
-            bandwidth_bytes_per_us: 12.5,
-            loopback_latency_us: 5,
-        }
-    }
 }
 
 impl Encode for NetworkConfig {
@@ -194,7 +183,7 @@ mod tests {
     fn small_message_delay_is_about_base_latency() {
         let mut n = net();
         let d = n.delay(NodeId(0), NodeId(1), 100, 0).unwrap();
-        assert!(d >= 250 && d <= 250 + 50 + 1, "delay {d}");
+        assert!((250..=250 + 50 + 1).contains(&d), "delay {d}");
     }
 
     #[test]

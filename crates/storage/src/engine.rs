@@ -112,39 +112,6 @@ pub mod conformance {
         // Read amplification is at least one probe.
         assert!(engine.read_amplification(&k("a")) >= 1);
     }
-
-    /// Engines must agree with a reference BTreeMap under a random workload.
-    pub fn check_against_reference(engine: &mut dyn KvEngine, ops: &[(u8, u16, u16)]) {
-        use std::collections::BTreeMap;
-        let mut reference: BTreeMap<Key, Value> = BTreeMap::new();
-        for &(op, kn, vn) in ops {
-            let key = Key::from_str(&format!("key{:05}", kn % 200));
-            match op % 3 {
-                0 | 1 => {
-                    let value = Value::filler((vn % 64) as usize + 1);
-                    reference.insert(key.clone(), value.clone());
-                    engine.put(key, value);
-                }
-                _ => {
-                    let expected = reference.remove(&key).is_some();
-                    assert_eq!(engine.delete(&key), expected);
-                }
-            }
-        }
-        assert_eq!(engine.len(), reference.len());
-        for (k, v) in &reference {
-            assert_eq!(engine.get(k).as_ref(), Some(v), "key {k}");
-        }
-        // Full scan agrees.
-        let lo = Key::from_str("key00000");
-        let hi = Key::from_str("key99999");
-        let scanned = engine.scan(&lo, &hi);
-        let expected: Vec<(Key, Value)> = reference
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        assert_eq!(scanned, expected);
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Concurrency control (the concurrency dimension, Section 3.2).
 //!
-//! Four schemes cover the benchmarked systems:
+//! Quorum, etcd and the other order-execute designs apply transactions one
+//! at a time in ledger order inside their system models; three schemes
+//! cover the benchmarked systems that run transactions concurrently:
 //!
-//! * [`serial::SerialExecutor`] — one transaction at a time in ledger order
-//!   (Quorum, etcd, and every order-execute blockchain).
 //! * [`occ`] — Fabric's execute-order-validate optimism: transactions are
 //!   *simulated* against a snapshot, collecting a versioned read set; at
 //!   commit the read versions are re-checked and stale reads abort
@@ -22,12 +22,10 @@
 pub mod locking;
 pub mod occ;
 pub mod percolator;
-pub mod serial;
 
 pub use locking::LockManager;
 pub use occ::{OccExecutor, SimulationResult};
 pub use percolator::{PercolatorExecutor, PercolatorOutcome};
-pub use serial::SerialExecutor;
 
 use dichotomy_common::{Key, Value};
 

@@ -84,11 +84,6 @@ impl Encode for YcsbConfig {
 }
 
 impl YcsbConfig {
-    /// The paper's uniform update-only peak-throughput configuration.
-    pub fn update_default() -> Self {
-        YcsbConfig::default()
-    }
-
     /// The paper's uniform query-only configuration.
     pub fn query_default() -> Self {
         YcsbConfig {
@@ -115,14 +110,6 @@ impl YcsbConfig {
             ops_per_txn: ops,
             record_size: 1_000 / ops,
             mix: YcsbMix::ReadModifyWrite,
-            ..YcsbConfig::default()
-        }
-    }
-
-    /// The record-size sweep of Figure 11.
-    pub fn record_size_sweep(record_size: usize) -> Self {
-        YcsbConfig {
-            record_size,
             ..YcsbConfig::default()
         }
     }

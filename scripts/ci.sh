@@ -9,8 +9,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -170,19 +170,11 @@ cargo run -p dichotomy-bench --release --bin repro -- \
 cargo run -p dichotomy-bench --release --bin repro -- \
     --quick --seed 7 --jobs "$JOBS" --bench BENCH_history.json \
     --bench-key "${BENCH_KEY}-jobs${JOBS}" all > /dev/null
-grep -q '"generator":"repro-bench-history"' BENCH_history.json
-grep -q "\"label\":\"${BENCH_KEY}-jobs1\"" BENCH_history.json
-grep -q "\"label\":\"${BENCH_KEY}-jobs${JOBS}\"" BENCH_history.json
-# `all` includes the chaos grid, so its wall clock rides the trajectory too.
-grep -q '"key":"chaos01"' BENCH_history.json
 TAB02_AFTER="$(grep -o '"key":"tab02"' BENCH_history.json | wc -l)"
 if [ "$TAB02_AFTER" -ne "$TAB02_BEFORE" ]; then
     echo "ci.sh: tab02 (0 probes) leaked into the bench timings" >&2
     exit 1
 fi
-# The new entries carry the measurement-layer accounting.
-grep -q '"dedup_saved_ms":' BENCH_history.json
-grep -q '"calibration":\[{' BENCH_history.json
 
 echo "==> repro --cache (cold vs warm: byte-identical JSON, >=5x wall-clock win)"
 # Seed 8 keeps the cache trajectory in its own (key, config) lane so the
@@ -212,8 +204,6 @@ if [ "$COLD_MS" -lt $(( 5 * WARM_MS )) ]; then
     exit 1
 fi
 echo "    cold ${COLD_MS} ms, warm ${WARM_MS} ms"
-grep -q '"label":"pr8-cache-cold"' BENCH_history.json
-grep -q '"label":"pr8-cache-warm"' BENCH_history.json
 "$REPRO_BIN" cache stats | grep -q entries
 "$REPRO_BIN" cache clear > /dev/null
 
@@ -256,7 +246,6 @@ grep -qE '"wall_ms":[0-9]' /tmp/ci_explore_walls.json
 # The explorer's own wall clock joins the bench trajectory.
 "$REPRO_BIN" explore --quick --seed 7 --jobs "$JOBS" \
     --bench BENCH_history.json --bench-key pr10-explore > /dev/null
-grep -q '"label":"pr10-explore"' BENCH_history.json
 
 echo "==> microbench --smoke (engine hot-path regression canary)"
 cargo run -p dichotomy-bench --release --bin microbench -- --smoke \
@@ -273,16 +262,15 @@ grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
 grep -q "sha256_1kb" /tmp/ci_microbench.out
 grep -q "mpt_insert_1kb" /tmp/ci_microbench.out
 grep -q "mbt_put_1kb" /tmp/ci_microbench.out
-grep -q "\"label\":\"${BENCH_KEY}-micro\"" BENCH_history.json
-grep -q '"key":"event_queue_heap_churn_256k"' BENCH_history.json
-grep -q '"key":"latency_sketch_stream_100k"' BENCH_history.json
-grep -q '"key":"sha256_1kb"' BENCH_history.json
-grep -q '"key":"mpt_insert_1kb"' BENCH_history.json
-grep -q '"key":"mbt_put_1kb"' BENCH_history.json
 
 echo "==> bench_gate (wall-clock trajectory regression gate + coverage keys)"
+# Coverage: each required timing key must be in the latest entry of every
+# lane (quick/txns/seed/jobs/sched) it ever appeared in, so an experiment or
+# microbench case that drops out of this run's appends fails here.
 scripts/bench_gate --require-key scale01 --require-key chaos01 \
-    --require-key pr8-cache-cold --require-key pr8-cache-warm \
-    --require-key pr10-explore BENCH_history.json
+    --require-key explore --require-key sha256_1kb \
+    --require-key mpt_insert_1kb --require-key mbt_put_1kb \
+    --require-key event_queue_heap_churn_256k \
+    --require-key latency_sketch_stream_100k BENCH_history.json
 
 echo "==> ci.sh: all checks passed"
